@@ -27,9 +27,9 @@ from .linsolve import (
     Solution,
     assemble,
     linearize_vsq,
+    solve,
     solve_linear,
     solve_linear_full,
-    solve_three_phase,
 )
 from .loads import ZipLoad, delta_to_wye_injections, injection_current, wye_equivalents
 from .metrics import (
@@ -104,10 +104,10 @@ __all__ = [
     "reduced_impedance",
     "residual",
     "serialize_feeder",
+    "solve",
     "solve_bfs",
     "solve_linear",
     "solve_linear_full",
-    "solve_three_phase",
     "summarize",
     "v_min",
     "validate_radial",

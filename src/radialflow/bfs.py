@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .linsolve import Solution
 from .loads import nodal_injections
-from .network import Feeder, build_incidence, tree_structure, ybus
+from .network import Feeder, build_incidence, ybus
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,10 @@ def solve_bfs(
 ) -> Solution:
     """Iterate sweeps until the infinity norm of the voltage update
     converges; raises ConvergenceError (carrying the last iterate) when the
-    iteration budget runs out."""
+    iteration budget runs out, and RadialityError when the feeder is not
+    radial."""
     opts = opts or BfsOptions()
-    tree = tree_structure(feeder)
+    tree = feeder.tree
     p = feeder.phase_count
     n = len(feeder.nodes)
     position = {node: i for i, node in enumerate(feeder.nodes)}

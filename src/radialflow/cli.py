@@ -8,9 +8,7 @@ output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io as _stdio
-import json
+import cmath
 import sys
 from typing import Any
 
@@ -18,13 +16,8 @@ import numpy as np
 
 from . import io as fio
 from .bfs import BfsOptions, residual, solve_bfs
-from .errors import (
-    ParseError,
-    RadialFlowError,
-    RadialityError,
-    ValidationError,
-)
-from .linsolve import Solution, assemble, solve_linear, solve_linear_full
+from .errors import ParseError, RadialFlowError, RadialityError
+from .linsolve import solve
 from .metrics import node_errors, summarize
 from .network import Feeder, build_incidence
 
@@ -34,6 +27,11 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 LINEAR_METHODS = ("linear-simple", "linear-full")
+
+V0_HELP = (
+    "linearization point of linear-full, e.g. 1.05 or 1.05+0j "
+    "(linear-simple ignores it)"
+)
 
 
 def _read_feeder(path: str) -> Feeder:
@@ -51,13 +49,19 @@ def _bfs_options(args: argparse.Namespace) -> BfsOptions:
     )
 
 
-def _solve(feeder: Feeder, method: str, args: argparse.Namespace) -> Solution:
-    if method == "bfs":
-        return solve_bfs(feeder, _bfs_options(args))
-    v0 = args.v0
-    if method == "linear-full":
-        return solve_linear_full(feeder, v0)
-    return solve_linear(assemble(feeder, v0, mode="simple"))
+def _v0(text: str) -> complex:
+    """``--v0`` value: a finite complex number of positive magnitude."""
+    try:
+        value = complex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid complex value: {text!r}"
+        ) from None
+    if not (cmath.isfinite(value) and abs(value) > 0):
+        raise argparse.ArgumentTypeError(
+            f"needs a finite nonzero value, got {text!r}"
+        )
+    return value
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -74,7 +78,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except ParseError as exc:
         _emit(args, f"PARSE ERROR: {exc}\n")
         return EXIT_PARSE
-    except ValidationError as exc:
+    except RadialityError as exc:
         lines = ["INVALID"] + [f"- {v}" for v in exc.violations]
         _emit(args, "\n".join(lines) + "\n")
         return EXIT_VALIDATION
@@ -84,7 +88,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     feeder = _read_feeder(args.input)
-    solution = _solve(feeder, args.method, args)
+    solution = solve(feeder, args.method, args.v0, _bfs_options(args))
     inc = build_incidence(feeder)
     report = summarize(solution, inc, feeder)
     _emit(args, fio.write_solution(solution, report, args.format))
@@ -94,7 +98,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     feeder = _read_feeder(args.input)
     reference = solve_bfs(feeder, _bfs_options(args))
-    solution = _solve(feeder, args.method, args)
+    solution = solve(feeder, args.method, args.v0, _bfs_options(args))
     inc = build_incidence(feeder)
     epsilon = node_errors(solution, reference)
     lin_report = summarize(solution, inc, feeder, reference=reference)
@@ -160,17 +164,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "nodes": rows,
             "summary": summary,
         }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, fio.render_json(doc))
     else:
         columns = ["id", "phase", "v_mag_linear", "v_mag_bfs", "epsilon"]
         if p == 3:
             columns += ["luvr_linear", "luvr_bfs"]
-        buffer = _stdio.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
-        _emit(args, buffer.getvalue())
+        _emit(args, fio.render_csv(columns, rows))
     return EXIT_OK
 
 
@@ -188,24 +187,18 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         "v_min": fio.fmt_number(report.v_min),
         "residual": fio.fmt_number(residual(feeder, solution)),
     }
+    luvr = {}
+    if report.luvr is not None:
+        luvr = {
+            node: fio.fmt_number(float(report.luvr[i]))
+            for i, node in enumerate(feeder.nodes)
+        }
     if args.format == "json":
-        doc: dict[str, Any] = dict(scalars)
-        if report.luvr is not None:
-            doc["luvr"] = {
-                node: fio.fmt_number(float(report.luvr[i]))
-                for i, node in enumerate(feeder.nodes)
-            }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, fio.render_json({**scalars, "luvr": luvr} if luvr else scalars))
     else:
-        buffer = _stdio.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["metric", "id", "value"])
-        for key, value in scalars.items():
-            writer.writerow([key, "", value])
-        if report.luvr is not None:
-            for i, node in enumerate(feeder.nodes):
-                writer.writerow(["luvr", node, fio.fmt_number(float(report.luvr[i]))])
-        _emit(args, buffer.getvalue())
+        rows = [{"metric": k, "id": "", "value": v} for k, v in scalars.items()]
+        rows += [{"metric": "luvr", "id": k, "value": v} for k, v in luvr.items()]
+        _emit(args, fio.render_csv(["metric", "id", "value"], rows))
     return EXIT_OK
 
 
@@ -247,10 +240,7 @@ def _parser() -> argparse.ArgumentParser:
         choices=LINEAR_METHODS + ("bfs",),
         default="linear-simple",
     )
-    p_solve.add_argument(
-        "--v0", type=complex, default=None,
-        help="linearization point override, e.g. 1.05 or 1.05+0j",
-    )
+    p_solve.add_argument("--v0", type=_v0, default=None, help=V0_HELP)
     p_solve.set_defaults(func=cmd_solve)
 
     p_compare = sub.add_parser(
@@ -260,7 +250,7 @@ def _parser() -> argparse.ArgumentParser:
     p_compare.add_argument(
         "--method", choices=LINEAR_METHODS, default="linear-simple"
     )
-    p_compare.add_argument("--v0", type=complex, default=None)
+    p_compare.add_argument("--v0", type=_v0, default=None, help=V0_HELP)
     p_compare.set_defaults(func=cmd_compare)
 
     p_metrics = sub.add_parser(
@@ -279,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValidationError, RadialityError) as exc:
+    except RadialityError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RadialFlowError as exc:

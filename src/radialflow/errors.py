@@ -6,7 +6,8 @@ class RadialFlowError(Exception):
 
 
 class RadialityError(RadialFlowError):
-    """The feeder graph is not a tree rooted at the slack node."""
+    """The feeder graph is not a tree rooted at the slack node; carries
+    every violation found."""
 
     def __init__(self, violations):
         self.violations = tuple(violations)
@@ -45,9 +46,5 @@ class ParseError(RadialFlowError):
     offending field or node."""
 
 
-class ValidationError(RadialFlowError):
-    """A parsed feeder failed radiality validation."""
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        super().__init__("; ".join(self.violations))
+#: Former name of RadialityError, kept for callers that still use it.
+ValidationError = RadialityError

@@ -10,19 +10,21 @@ unless ``options.v_base`` declares a physical voltage base.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io as _stdio
 import json
 import math
-from typing import Any
+from dataclasses import replace
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .linsolve import Solution
 from .loads import PHASES, ZipLoad, drop_zero_loads
 from .metrics import MetricsReport
-from .network import Branch, Feeder, validate_radial
+from .network import Branch, Feeder
 
 SCHEMA_VERSION = "1"
 
@@ -35,24 +37,41 @@ def _require(obj: dict, key: str, ctx: str) -> Any:
     return obj[key]
 
 
+def _finite(value: Any, ctx: str) -> float:
+    """A number as a float; ParseError naming ``ctx`` unless it is finite
+    (JSON admits NaN and Infinity)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{ctx}: expected a number") from exc
+    if not math.isfinite(number):
+        raise ParseError(f"{ctx}: expected a finite number, got {value!r}")
+    return number
+
+
 def _complex(value: Any, ctx: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if not isinstance(value, dict):
-        raise ParseError(f"{ctx}: expected a complex value object")
-    if "re" in value or "im" in value:
-        try:
-            return complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{ctx}: non-numeric complex parts") from exc
-    if "mag" in value:
-        try:
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            z = complex(value)
+        elif not isinstance(value, dict):
+            raise ParseError(f"{ctx}: expected a complex value object")
+        elif "re" in value or "im" in value:
+            z = complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
+        elif "mag" in value:
             mag = float(value["mag"])
             angle = math.radians(float(value.get("angle_deg", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{ctx}: non-numeric magnitude/angle") from exc
-        return complex(mag * math.cos(angle), mag * math.sin(angle))
-    raise ParseError(f"{ctx}: complex value needs re/im or mag/angle_deg")
+            z = complex(mag * math.cos(angle), mag * math.sin(angle))
+        else:
+            raise ParseError(
+                f"{ctx}: complex value needs re/im or mag/angle_deg"
+            )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{ctx}: complex parts must be finite numbers") from exc
+    if not cmath.isfinite(z):
+        raise ParseError(
+            f"{ctx}: complex parts must be finite numbers, got {value!r}"
+        )
+    return z
 
 
 def _impedance(value: Any, ctx: str):
@@ -69,9 +88,10 @@ def _impedance(value: Any, ctx: str):
 def parse_feeder(text: str) -> Feeder:
     """Parse and validate a feeder document.
 
-    Node order is normalized to topological (slack first, parents before
-    children); radiality violations raise ValidationError, anything
-    structural raises ParseError naming the offending field.
+    Radiality is validated in the declared node order, then the nodes are
+    reordered topologically (slack first, parents before children).
+    Radiality violations raise RadialityError, anything structural raises
+    ParseError naming the offending field.
     """
     try:
         doc = json.loads(text)
@@ -86,8 +106,8 @@ def parse_feeder(text: str) -> Feeder:
 
     name = str(doc.get("name", "feeder"))
     phase_count = doc.get("phase_count", 1)
-    if phase_count not in (1, 3):
-        raise ParseError("phase_count must be 1 or 3")
+    if type(phase_count) is not int or phase_count not in (1, 3):
+        raise ParseError(f"phase_count must be 1 or 3, got {phase_count!r}")
 
     slack = _require(doc, "slack", "slack")
     if not isinstance(slack, dict):
@@ -123,6 +143,8 @@ def parse_feeder(text: str) -> Feeder:
         nodes = [str(node) for node in explicit_nodes]
         if slack_node not in nodes:
             raise ParseError(f"slack node {slack_node} missing from nodes")
+        nodes.remove(slack_node)
+        nodes.insert(0, slack_node)
         known = set(nodes)
         for branch in branches:
             for endpoint in (branch.from_node, branch.to_node):
@@ -172,17 +194,14 @@ def parse_feeder(text: str) -> Feeder:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ParseError("options: expected an object")
-    try:
-        v_base = float(options.get("v_base", 1.0))
-        s_base = float(options.get("s_base", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ParseError("options.v_base/s_base: expected a number") from exc
+    v_base = _finite(options.get("v_base", 1.0), "options.v_base")
+    s_base = _finite(options.get("s_base", 1.0), "options.s_base")
 
     try:
         feeder = Feeder(
             name=name,
             phase_count=phase_count,
-            nodes=tuple(_toposorted(nodes, slack_node, branches)),
+            nodes=tuple(nodes),
             slack_voltage=slack_voltage,
             branches=tuple(branches),
             loads=drop_zero_loads(loads),
@@ -191,33 +210,23 @@ def parse_feeder(text: str) -> Feeder:
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    report = validate_radial(feeder)
-    if not report.ok:
-        raise ValidationError(report.violations)
-    return feeder
+    return replace(feeder, nodes=feeder.tree.order)
 
 
-def _toposorted(nodes: list[str], slack: str, branches: list[Branch]) -> list[str]:
-    """Reorder nodes so parents precede children, slack first; nodes that
-    cannot be reached keep their declared order at the end (validation will
-    flag them)."""
-    adjacency: dict[str, list[str]] = {node: [] for node in nodes}
-    for branch in branches:
-        if branch.from_node in adjacency and branch.to_node in adjacency:
-            adjacency[branch.from_node].append(branch.to_node)
-            adjacency[branch.to_node].append(branch.from_node)
-    order = [slack]
-    visited = {slack}
-    frontier = 0
-    while frontier < len(order):
-        node = order[frontier]
-        frontier += 1
-        for neighbor in adjacency[node]:
-            if neighbor not in visited:
-                visited.add(neighbor)
-                order.append(neighbor)
-    order.extend(node for node in nodes if node not in visited)
-    return order
+def render_json(doc: Any) -> str:
+    """Two-space indented JSON text with a trailing newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def render_csv(columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> str:
+    """CSV text: a header of ``columns``, then each row's values for them."""
+    buffer = _stdio.StringIO()
+    writer = csv.DictWriter(
+        buffer, columns, extrasaction="ignore", lineterminator="\n"
+    )
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def fmt_number(value: float) -> float:
@@ -270,7 +279,7 @@ def serialize_feeder(feeder: Feeder) -> str:
         ],
         "options": {"v_base": fmt_number(feeder.v_base), "s_base": fmt_number(feeder.s_base)},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return render_json(doc)
 
 
 def phase_label(index: int, phase_count: int) -> str:
@@ -327,17 +336,12 @@ def write_solution(
                 doc["metrics"]["luvr_over_1pct"] = int(
                     np.sum(report.luvr > 1.0)
                 )
-        return json.dumps(doc, indent=2) + "\n"
+        return render_json(doc)
     if format == "csv":
         columns = ["id", "phase", "v_mag", "angle_deg"]
         if report is not None and report.epsilon is not None:
             columns.append("epsilon")
         if report is not None and report.luvr is not None:
             columns.append("luvr")
-        buffer = _stdio.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in _solution_rows(sol, report):
-            writer.writerow([row[c] for c in columns])
-        return buffer.getvalue()
+        return render_csv(columns, _solution_rows(sol, report))
     raise ValueError(f"unknown format {format!r}")

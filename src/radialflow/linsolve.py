@@ -21,18 +21,16 @@ Two solver modes are exposed:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import SingularError, UnsupportedPhaseError
+from .errors import SingularError
 from .loads import PHASE_ROTATIONS, load_vectors
-from .network import (
-    Feeder,
-    IncidenceModel,
-    ReducedImpedance,
-    build_incidence,
-    reduced_impedance,
-)
+from .network import Feeder, build_incidence, reduced_impedance
+
+if TYPE_CHECKING:
+    from .bfs import BfsOptions
 
 #: Diagonal entries of the system matrix below this magnitude are rejected.
 DIAGONAL_TOLERANCE = 1e-9
@@ -95,18 +93,12 @@ class LinearModel:
 
     ``sys_a`` multiplies the unknown non-slack voltages and ``sys_b`` is the
     right-hand side; with no loads they reduce to the identity and the
-    nominal voltage vector. ``alpha`` (slack voltage minus one) only matters
-    in full mode, where the conjugate-voltage term it scales is retained.
+    nominal voltage vector.
     """
 
-    d: ReducedImpedance
-    v0: LinearizationPoint
-    alpha: complex
     sys_a: np.ndarray
     sys_b: np.ndarray
-    mode: str
     feeder: Feeder
-    incidence: IncidenceModel
 
 
 def _resolve_v0(
@@ -130,8 +122,9 @@ def _per_unknown(values, feeder: Feeder) -> np.ndarray:
     return np.tile(np.asarray(values, dtype=np.complex128), n_unknown_nodes)
 
 
-def _system_parts(feeder: Feeder, inc: IncidenceModel, red: ReducedImpedance):
+def _system_parts(feeder: Feeder):
     """Shared pieces of both solver modes for the non-slack unknowns."""
+    red = reduced_impedance(build_incidence(feeder), feeder)
     h = feeder.h
     s_z, s_i, s_p = load_vectors(feeder.loads, feeder.nodes, feeder.phase_count)
     cut = feeder.phase_count  # drop the slack slots
@@ -148,11 +141,7 @@ def _system_parts(feeder: Feeder, inc: IncidenceModel, red: ReducedImpedance):
     return sys_a, p_base, i_base, rho, a_vec
 
 
-def assemble(
-    feeder: Feeder,
-    v0: LinearizationPoint | complex | None = None,
-    mode: str = "simple",
-) -> LinearModel:
+def assemble(feeder: Feeder) -> LinearModel:
     """Build the linear system for a validated feeder.
 
     Delta loads are first converted to their wye equivalents at the
@@ -160,12 +149,7 @@ def assemble(
     constant-power and constant-current loads enter the right-hand side
     with negative sign (consumption convention).
     """
-    if mode not in ("simple", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    point = _resolve_v0(feeder, v0)
-    inc = build_incidence(feeder)
-    red = reduced_impedance(inc, feeder)
-    sys_a, p_base, i_base, _, a_vec = _system_parts(feeder, inc, red)
+    sys_a, p_base, i_base, _, a_vec = _system_parts(feeder)
     diag = np.diagonal(sys_a)
     if diag.size and np.min(np.abs(diag)) < DIAGONAL_TOLERANCE:
         worst = int(np.argmin(np.abs(diag)))
@@ -176,16 +160,7 @@ def assemble(
     # The leading h freezes the constant-power injections at the nominal
     # magnitude 1/h; it is unity in per-unit analysis.
     sys_b = a_vec - feeder.h * p_base - feeder.h * i_base
-    return LinearModel(
-        d=red,
-        v0=point,
-        alpha=feeder.slack_voltage - 1.0,
-        sys_a=sys_a,
-        sys_b=sys_b,
-        mode=mode,
-        feeder=feeder,
-        incidence=inc,
-    )
+    return LinearModel(sys_a=sys_a, sys_b=sys_b, feeder=feeder)
 
 
 def _solution(feeder: Feeder, x: np.ndarray, method: str) -> Solution:
@@ -202,9 +177,6 @@ def _solution(feeder: Feeder, x: np.ndarray, method: str) -> Solution:
 
 def solve_linear(model: LinearModel) -> Solution:
     """Solve the simple-mode system in one shot."""
-    if model.mode != "simple":
-        raise ValueError("solve_linear handles simple mode; use "
-                         "solve_linear_full for the conjugate variant")
     try:
         x = np.linalg.solve(model.sys_a, model.sys_b)
     except np.linalg.LinAlgError as exc:
@@ -224,9 +196,7 @@ def solve_linear_full(
     method non-iterative.
     """
     point = _resolve_v0(feeder, v0)
-    inc = build_incidence(feeder)
-    red = reduced_impedance(inc, feeder)
-    sys_a, p_base, i_base, rho, a_vec = _system_parts(feeder, inc, red)
+    sys_a, p_base, i_base, rho, a_vec = _system_parts(feeder)
     v0_vec = _per_unknown(point.phasors, feeder)
     c_v = np.conjugate(v0_vec)
     c_vbar = v0_vec
@@ -261,19 +231,25 @@ def solve_linear_full(
     return _solution(feeder, x, "linear-full")
 
 
-def solve_three_phase(
+def solve(
     feeder: Feeder,
+    method: str = "linear-simple",
     v0: LinearizationPoint | complex | None = None,
-    mode: str = "simple",
+    bfs: BfsOptions | None = None,
 ) -> Solution:
-    """Solve an unbalanced three-phase feeder with the block-extended system.
+    """Solve a feeder with ``linear-simple``, ``linear-full`` or ``bfs``.
 
-    Each phase is linearized around its rotated nominal phasor unless a
-    point is supplied; delta loads are routed through the wye-equivalent
-    conversion.
+    ``v0`` is the linearization point of ``linear-full`` (the other methods
+    ignore it) and ``bfs`` the ``BfsOptions`` of the sweep. Three-phase
+    feeders use the block-extended system, each phase linearized around its
+    rotated nominal phasor; delta loads go through their wye equivalents.
     """
-    if feeder.phase_count != 3:
-        raise UnsupportedPhaseError("feeder is not three-phase")
-    if mode == "full":
+    if method == "linear-simple":
+        return solve_linear(assemble(feeder))
+    if method == "linear-full":
         return solve_linear_full(feeder, v0)
-    return solve_linear(assemble(feeder, v0, mode="simple"))
+    if method == "bfs":
+        from .bfs import solve_bfs
+
+        return solve_bfs(feeder, bfs)
+    raise ValueError(f"unknown method {method!r}")

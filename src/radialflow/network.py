@@ -10,6 +10,7 @@ D = A_M^-1 Z A_M^-T, the inverse of the slack-reduced bus admittance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
@@ -114,6 +115,19 @@ class Feeder:
     @property
     def slack(self) -> NodeId:
         return self.nodes[0]
+
+    @cached_property
+    def tree(self) -> TreeInfo:
+        """Rooted-tree structure, validated and computed once per feeder
+        object on first use.
+
+        Raises RadialityError listing every violation when the graph is not
+        a tree rooted at the slack node.
+        """
+        report = validate_radial(self)
+        if not report.ok:
+            raise RadialityError(report.violations)
+        return tree_structure(self)
 
     @property
     def h(self) -> float:
@@ -262,18 +276,11 @@ def tree_structure(feeder: Feeder) -> TreeInfo:
 
 def build_incidence(feeder: Feeder) -> IncidenceModel:
     """Build the oriented incidence matrix and its slack split."""
-    report = validate_radial(feeder)
-    if not report.ok:
-        raise RadialityError(report.violations)
-
-    tree = tree_structure(feeder)
+    tree = feeder.tree
     position = {node: i for i, node in enumerate(feeder.nodes)}
-    # Row i holds the branch whose child is the (i+1)-th node of the feeder,
+    # Row i holds the branch feeding the (i+1)-th node of the feeder,
     # keeping a_m triangular for topologically ordered nodes.
-    ordered = sorted(
-        feeder.branches,
-        key=lambda b: position[_child_of(b, tree)],
-    )
+    ordered = [tree.branch_for[node] for node in feeder.nodes[1:]]
     n, m = len(feeder.nodes), len(feeder.branches)
     a = np.zeros((m, n))
     for row, branch in enumerate(ordered):
@@ -286,13 +293,6 @@ def build_incidence(feeder: Feeder) -> IncidenceModel:
         branch_order=tuple(branch.id for branch in ordered),
         nodes=feeder.nodes,
     )
-
-
-def _child_of(branch: Branch, tree: TreeInfo) -> NodeId:
-    """Endpoint of the branch farther from the slack."""
-    if tree.branch_for.get(branch.to_node) is branch:
-        return branch.to_node
-    return branch.from_node
 
 
 def branch_by_id(feeder: Feeder) -> dict[str, Branch]:

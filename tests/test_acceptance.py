@@ -22,10 +22,10 @@ from radialflow import (
     power_balance,
     reduced_impedance,
     residual,
+    solve,
     solve_bfs,
     solve_linear,
     solve_linear_full,
-    solve_three_phase,
     ybus,
 )
 from radialflow.cli import main
@@ -169,7 +169,7 @@ def test_criterion_7_unbalanced_parity():
     started = time.perf_counter()
     feeder = radialflow.example_feeder("unbalanced_ten_bus")
     ref = solve_bfs(feeder, BfsOptions(tolerance=1e-10))
-    lin = solve_three_phase(feeder)
+    lin = solve(feeder)
     rate_ref = luvr(ref)
     rate_lin = luvr(lin)
     over_ref = {feeder.nodes[i] for i in np.flatnonzero(rate_ref > 1.0)}

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from radialflow import (
     BfsOptions,
+    Branch,
     ConvergenceError,
+    RadialityError,
     ZipLoad,
     assemble,
     build_incidence,
@@ -73,6 +77,14 @@ class TestSolveBfs:
             feeder = random_radial_feeder(rng, 15, profile="zip")
             sol = solve_bfs(feeder, BfsOptions(tolerance=tolerance))
             assert residual(feeder, sol) <= 100 * tolerance
+
+    def test_cyclic_feeder_rejected(self):
+        chain = chain_feeder(4, 0.01 + 0.02j)
+        ring = replace(chain, branches=chain.branches + (
+            Branch("ring", chain.nodes[-1], chain.slack, 0.01 + 0.02j),
+        ))
+        with pytest.raises(RadialityError, match="cycle"):
+            solve_bfs(ring)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

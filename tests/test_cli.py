@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import radialflow
 from radialflow import (
     BfsOptions,
+    network,
     node_errors,
     solve_bfs,
     solve_linear_full,
@@ -83,6 +86,55 @@ class TestExitCodes:
     def test_compare_and_metrics_ok(self, valid_file):
         assert main(["compare", valid_file]) == 0
         assert main(["metrics", valid_file]) == 0
+
+    @pytest.mark.parametrize("value", ["0", "0j", "nan"])
+    @pytest.mark.parametrize("method", ["linear-simple", "linear-full"])
+    def test_degenerate_v0_is_a_usage_error(self, valid_file, capsys, method, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", valid_file, "--method", method, "--v0", value])
+        assert excinfo.value.code == 2
+        assert "--v0" in capsys.readouterr().err
+
+    def test_non_finite_input_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(VALID.replace('"re": 0.01', '"re": NaN', 1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "radialflow.cli", "solve", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "branches[0].impedance" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["compare", "metrics"])
+def test_one_topology_pass_per_feeder_object(monkeypatch, capsys, command):
+    # parse_feeder validates the declared order, then reorders the nodes:
+    # two Feeder objects, each validated and walked once.
+    originals = {
+        name: getattr(network, name)
+        for name in ("validate_radial", "tree_structure")
+    }
+    calls = Counter()
+
+    def counting(name):
+        def counted(feeder):
+            calls[name] += 1
+            return originals[name](feeder)
+
+        return counted
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] != "radialflow":
+            continue
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name))
+    path = Path(radialflow.__file__).parent / "data" / "unbalanced_ten_bus.json"
+    assert main([command, str(path)]) == 0
+    assert calls["validate_radial"] <= 2
+    assert calls["tree_structure"] <= 2
 
 
 class TestDeterminism:

@@ -19,6 +19,7 @@ from radialflow import (
     summarize,
     write_solution,
 )
+from radialflow.cli import main
 
 MINIMAL = """
 {
@@ -82,6 +83,46 @@ class TestParseFeeder:
             {"id": "b3", "from": "3", "to": "1", "impedance": {"re": 0.01, "im": 0.01}}
         )
         with pytest.raises(ValidationError, match="cycle"):
+            parse_feeder(json.dumps(doc))
+
+    def test_duplicate_node_id_is_invalid(self, tmp_path, capsys):
+        doc = json.loads(MINIMAL)
+        doc["branches"].append(
+            {"id": "b2", "from": "2", "to": "3", "impedance": {"re": 0.01, "im": 0.01}}
+        )
+        doc["nodes"] = ["1", "2", "2", "3"]
+        with pytest.raises(ValidationError, match="duplicate node id 2"):
+            parse_feeder(json.dumps(doc))
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == "INVALID\n- duplicate node id 2\n"
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda d: d["slack"].update(voltage={"re": math.nan}),
+             "slack.voltage"),
+            (lambda d: d["branches"][0].update(impedance={"im": math.inf}),
+             r"branches\[0\].impedance"),
+            (lambda d: d["loads"][0].update(s_i={"mag": -math.inf}),
+             r"loads\[0\].s_i"),
+            (lambda d: d["loads"][0].update(s_z=math.nan), r"loads\[0\].s_z"),
+            (lambda d: d.update(options={"v_base": math.nan}), "options.v_base"),
+            (lambda d: d.update(options={"s_base": math.inf}), "options.s_base"),
+        ],
+    )
+    def test_non_finite_number_names_field(self, edit, field):
+        doc = json.loads(MINIMAL)
+        edit(doc)
+        with pytest.raises(ParseError, match=field):
+            parse_feeder(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [True, 3.0])
+    def test_phase_count_must_be_an_integer(self, value):
+        doc = json.loads(MINIMAL)
+        doc["phase_count"] = value
+        with pytest.raises(ParseError, match="phase_count"):
             parse_feeder(json.dumps(doc))
 
     def test_matrix_impedance_entry_count(self):

@@ -10,16 +10,15 @@ from radialflow import (
     Feeder,
     LinearizationPoint,
     SingularError,
-    UnsupportedPhaseError,
     ZipLoad,
     assemble,
     linearize_vsq,
     node_errors,
     residual,
+    solve,
     solve_bfs,
     solve_linear,
     solve_linear_full,
-    solve_three_phase,
 )
 from radialflow.loads import PHASE_ROTATIONS
 from helpers import chain_feeder, random_radial_feeder, two_bus_feeder
@@ -68,10 +67,6 @@ class TestAssemble:
         model = assemble(feeder)
         assert np.array_equal(model.sys_a, np.eye(1))
 
-    def test_alpha_records_slack_offset(self):
-        feeder = chain_feeder(3, 0.01 + 0.02j, v_s=1.05 + 0j)
-        assert assemble(feeder).alpha == pytest.approx(0.05)
-
     def test_singular_diagonal_rejected(self):
         # A constant-impedance load cancelling the diagonal entry exactly.
         z = 0.1 + 0j
@@ -81,7 +76,7 @@ class TestAssemble:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            assemble(two_bus_feeder(), mode="both")
+            solve(two_bus_feeder(), "both")
 
 
 class TestSolveLinear:
@@ -111,11 +106,6 @@ class TestSolveLinear:
             )
             sol = solve_linear(assemble(feeder))
             assert residual(feeder, sol) < 1e-10
-
-    def test_rejects_full_mode_model(self):
-        model = assemble(two_bus_feeder(), mode="full")
-        with pytest.raises(ValueError):
-            solve_linear(model)
 
     def test_superposition_of_rhs_load_types(self):
         # P-only and I-only deviations share the identity system matrix and
@@ -225,7 +215,7 @@ class TestThreePhase:
         # Mutually coupled but balanced lines reduce to the positive
         # sequence impedance z_self - z_mutual.
         f3, f1 = self._balanced_pair(np.random.default_rng(7))
-        s3 = solve_three_phase(f3)
+        s3 = solve(f3)
         s1 = solve_linear(assemble(f1))
         expected = np.kron(s1.voltages, np.array(PHASE_ROTATIONS))
         assert np.max(np.abs(s3.voltages - expected)) < 1e-10
@@ -236,7 +226,7 @@ class TestThreePhase:
             name="empty", phase_count=3, nodes=f3.nodes,
             slack_voltage=1.02 + 0j, branches=f3.branches,
         )
-        sol = solve_three_phase(empty)
+        sol = solve(empty)
         expected = np.kron(
             np.full(len(f3.nodes), 1.02 + 0j), np.array(PHASE_ROTATIONS)
         )
@@ -249,7 +239,7 @@ class TestThreePhase:
             slack_voltage=1.0 + 0j, branches=f3.branches,
             loads=(ZipLoad(node=f3.nodes[-1], phase="a", s_p=0.15 + 0.05j),),
         )
-        sol = solve_three_phase(loaded)
+        sol = solve(loaded)
         tail = np.abs(sol.voltages[-3:])
         assert tail[0] < tail[1]
         assert tail[0] < tail[2]
@@ -260,13 +250,9 @@ class TestThreePhase:
 
     def test_full_mode_dispatch(self):
         f3, _ = self._balanced_pair(np.random.default_rng(10))
-        simple = solve_three_phase(f3, mode="simple")
-        full = solve_three_phase(f3, mode="full")
+        simple = solve(f3, "linear-simple")
+        full = solve(f3, "linear-full")
         assert np.max(np.abs(simple.voltages - full.voltages)) < 1e-12
-
-    def test_rejects_single_phase_feeder(self):
-        with pytest.raises(UnsupportedPhaseError):
-            solve_three_phase(two_bus_feeder())
 
 
 def test_oracle_proximity_light_load():
