@@ -17,14 +17,13 @@ import numpy as np
 from .errors import ConvergenceError
 from .linsolve import Solution
 from .loads import nodal_injections
-from .network import Feeder, build_incidence, ybus
+from .network import Feeder, build_incidence, impedance_blocks, ybus
 
 
 @dataclass(frozen=True)
 class BfsOptions:
     tolerance: float = 1e-8
     max_iterations: int = 100
-    flat_start: bool = True
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -33,61 +32,40 @@ class BfsOptions:
             raise ValueError("max_iterations must be at least 1")
 
 
-def solve_bfs(
-    feeder: Feeder,
-    opts: BfsOptions | None = None,
-    initial_voltages: np.ndarray | None = None,
-) -> Solution:
-    """Iterate sweeps until the infinity norm of the voltage update
-    converges; raises ConvergenceError (carrying the last iterate) when the
-    iteration budget runs out, and RadialityError when the feeder is not
-    radial."""
+def solve_bfs(feeder: Feeder, opts: BfsOptions | None = None) -> Solution:
+    """Iterate sweeps from a flat start until the infinity norm of the
+    voltage update converges; raises ConvergenceError (carrying the last
+    iterate) when the iteration budget runs out, RadialityError when the
+    feeder is not radial and SingularError on a degenerate impedance."""
     opts = opts or BfsOptions()
     tree = feeder.tree
+    z = impedance_blocks(feeder)
     p = feeder.phase_count
     n = len(feeder.nodes)
-    position = {node: i for i, node in enumerate(feeder.nodes)}
     slack = feeder.slack_phasors()
-
-    if initial_voltages is not None and not opts.flat_start:
-        voltages = np.asarray(initial_voltages, dtype=np.complex128).copy()
-        if voltages.shape != (n * p,):
-            raise ValueError("initial voltage vector has the wrong length")
-    else:
-        voltages = np.tile(slack, n)
-
-    z_blocks = {
-        node: (
-            np.array([[complex(branch.impedance)]])
-            if p == 1
-            else branch.matrix()
-        )
-        for node, branch in tree.branch_for.items()
-    }
+    voltages = np.tile(slack, n)
     reverse_order = tree.order[::-1]
 
     for iterations in range(1, opts.max_iterations + 1):
         injections = nodal_injections(
             feeder.loads, feeder.nodes, voltages, feeder.h, p
-        )
+        ).reshape(n, p)
         # Backward: current fed into each node's subtree from its parent.
         into_subtree = np.zeros((n, p), dtype=np.complex128)
         for node in reverse_order:
-            idx = position[node]
-            total = -injections[idx * p : (idx + 1) * p]
+            total = -injections[node]
             for child in tree.children[node]:
-                total = total + into_subtree[position[child]]
-            into_subtree[idx] = total
-        # Forward: drop each branch's voltage from parent to child.
-        updated = np.empty_like(voltages)
-        updated[:p] = slack
+                total = total + into_subtree[child]
+            into_subtree[node] = total
+        # Forward: drop each branch's voltage from parent to child; node k
+        # is fed by incidence row k - 1.
+        updated = np.empty((n, p), dtype=np.complex128)
+        updated[0] = slack
         for node in tree.order[1:]:
-            idx = position[node]
-            parent_idx = position[tree.parent[node]]
-            drop = z_blocks[node] @ into_subtree[idx]
-            updated[idx * p : (idx + 1) * p] = (
-                updated[parent_idx * p : (parent_idx + 1) * p] - drop
+            updated[node] = (
+                updated[tree.parent[node]] - z[node - 1] @ into_subtree[node]
             )
+        updated = updated.reshape(-1)
         shift = float(np.max(np.abs(updated - voltages))) if n > 1 else 0.0
         voltages = updated
         if not np.all(np.isfinite(voltages)):

@@ -140,6 +140,8 @@ def parse_feeder(text: str) -> Feeder:
 
     explicit_nodes = doc.get("nodes")
     if explicit_nodes is not None:
+        if not isinstance(explicit_nodes, list):
+            raise ParseError("nodes: expected a list")
         nodes = [str(node) for node in explicit_nodes]
         if slack_node not in nodes:
             raise ParseError(f"slack node {slack_node} missing from nodes")
@@ -210,7 +212,9 @@ def parse_feeder(text: str) -> Feeder:
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return replace(feeder, nodes=feeder.tree.order)
+    return replace(
+        feeder, nodes=tuple(feeder.nodes[k] for k in feeder.tree.order)
+    )
 
 
 def render_json(doc: Any) -> str:

@@ -164,6 +164,8 @@ def assemble(feeder: Feeder) -> LinearModel:
 
 
 def _solution(feeder: Feeder, x: np.ndarray, method: str) -> Solution:
+    if not np.all(np.isfinite(x)):
+        raise SingularError(f"{method} produced non-finite voltages")
     voltages = np.concatenate([feeder.slack_phasors(), x])
     return Solution(
         voltages=voltages,

@@ -10,12 +10,7 @@ import numpy as np
 from .errors import DimensionError, UnsupportedPhaseError
 from .linsolve import Solution
 from .loads import nodal_injections
-from .network import (
-    Feeder,
-    IncidenceModel,
-    branch_impedance_matrix,
-    phase_expand,
-)
+from .network import Feeder, IncidenceModel, impedance_blocks
 
 
 @dataclass(frozen=True)
@@ -47,22 +42,19 @@ def branch_flows(
     """Recover drops e = A V, currents I = Z^-1 e and sending-end power for
     every branch; signs follow each branch's stored orientation."""
     p = feeder.phase_count
-    a = phase_expand(inc.a, p)
-    drops = a @ sol.voltages
-    z = branch_impedance_matrix(inc, feeder)
-    currents = np.linalg.solve(z, drops) if drops.size else drops.copy()
-    m = len(inc.branch_order)
-    drops = drops.reshape(m, p) if m else np.zeros((0, p), dtype=np.complex128)
-    currents = (
-        currents.reshape(m, p) if m else np.zeros((0, p), dtype=np.complex128)
-    )
-    position = {node: i for i, node in enumerate(feeder.nodes)}
-    from_nodes = {branch.id: branch.from_node for branch in feeder.branches}
-    sending = np.zeros((m, p), dtype=np.complex128)
-    for row, branch_id in enumerate(inc.branch_order):
-        idx = position[from_nodes[branch_id]]
-        v_from = sol.voltages[idx * p : (idx + 1) * p]
-        sending[row] = v_from * np.conjugate(currents[row])
+    n = len(feeder.nodes)
+    if sol.voltages.shape != (n * p,):
+        raise ValueError(
+            f"solution has {sol.voltages.shape[0]} entries, feeder needs "
+            f"{n * p}"
+        )
+    v = sol.voltages.reshape(n, p)
+    ends = feeder.tree.ends
+    v_from = v[ends[:, 0]]
+    drops = v_from - v[ends[:, 1]]
+    currents = np.linalg.solve(impedance_blocks(feeder), drops[..., None])
+    currents = currents[..., 0]
+    sending = v_from * np.conjugate(currents)
     return BranchFlows(
         branch_ids=inc.branch_order,
         drops=drops,
@@ -136,9 +128,7 @@ def power_balance(
     p = feeder.phase_count
     flows = branch_flows(sol, inc, feeder)
     # Slack rows of A^T I_F: the current the source pushes into the feeder.
-    slack_current = (
-        phase_expand(inc.a_s.reshape(-1, 1), p).T @ flows.currents.reshape(-1)
-    )
+    slack_current = inc.a_s @ flows.currents
     slack_power = np.sum(feeder.slack_phasors() * np.conjugate(slack_current))
     injections = nodal_injections(
         feeder.loads, feeder.nodes, sol.voltages, feeder.h, p

@@ -9,11 +9,13 @@ D = A_M^-1 Z A_M^-T, the inverse of the slack-reduced bus admittance.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import RadialityError, SingularError
 from .loads import NodeId, ZipLoad
@@ -43,20 +45,21 @@ class Branch:
         if self.from_node == self.to_node:
             raise ValueError(f"branch {self.id} connects node "
                              f"{self.from_node} to itself")
-        if isinstance(self.impedance, tuple):
+        if not isinstance(self.impedance, tuple):
+            if not cmath.isfinite(self.impedance):
+                raise ValueError(f"branch {self.id}: impedance must be finite")
+        else:
             z = np.asarray(self.impedance, dtype=np.complex128)
             if z.shape != (3, 3):
                 raise ValueError(
                     f"branch {self.id}: matrix impedance must be 3x3"
                 )
+            if not np.isfinite(z).all():
+                raise ValueError(f"branch {self.id}: impedance must be finite")
             if np.max(np.abs(z - z.T)) > _MATRIX_SYMMETRY_TOL:
                 raise ValueError(
                     f"branch {self.id}: impedance matrix is not symmetric"
                 )
-
-    def matrix(self) -> np.ndarray:
-        """Impedance as a 3x3 array (scalar branches are not expanded)."""
-        return np.asarray(self.impedance, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -78,14 +81,21 @@ class Feeder:
     s_base: float = 1.0
 
     def __post_init__(self):
-        if self.phase_count not in (1, 3):
+        p = self.phase_count
+        if isinstance(p, bool) or p not in (1, 3):
             raise ValueError("phase_count must be 1 or 3")
         if not self.nodes:
             raise ValueError("feeder needs at least the slack node")
-        if abs(self.slack_voltage) <= 0:
-            raise ValueError("slack voltage magnitude must be positive")
-        if self.v_base <= 0 or self.s_base <= 0:
-            raise ValueError("v_base and s_base must be positive")
+        v_s = self.slack_voltage
+        if not (cmath.isfinite(v_s) and abs(v_s) > 0):
+            raise ValueError(
+                "slack voltage must be finite with positive magnitude"
+            )
+        if not all(
+            math.isfinite(base) and base > 0
+            for base in (self.v_base, self.s_base)
+        ):
+            raise ValueError("v_base and s_base must be finite and positive")
         for branch in self.branches:
             is_matrix = isinstance(branch.impedance, tuple)
             if self.phase_count == 3 and not is_matrix:
@@ -175,13 +185,17 @@ class ReducedImpedance:
 
 @dataclass(frozen=True)
 class TreeInfo:
-    """Rooted-tree structure of a radial feeder: topological node order,
-    parent of each non-slack node, and the branch feeding each node."""
+    """Rooted-tree structure of a radial feeder, in positions of
+    ``feeder.nodes``: the walk order from the slack, each node's parent
+    (-1 for the slack) and children, and the branch feeding node k + 1,
+    which is incidence row k, with the from/to positions of its stored
+    orientation in ``ends`` (shape (m, 2))."""
 
-    order: tuple[NodeId, ...]
-    parent: dict[NodeId, NodeId]
-    branch_for: dict[NodeId, Branch]
-    children: dict[NodeId, tuple[NodeId, ...]]
+    order: tuple[int, ...]
+    parent: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    branches: tuple[Branch, ...]
+    ends: np.ndarray
 
 
 def validate_radial(feeder: Feeder) -> ValidationReport:
@@ -237,91 +251,99 @@ def validate_radial(feeder: Feeder) -> ValidationReport:
 
 
 def tree_structure(feeder: Feeder) -> TreeInfo:
-    """Topological order and parent/child maps, rooted at the slack.
+    """Walk order and parent/child positions, rooted at the slack.
 
     Children are visited in branch declaration order, which makes the order
     deterministic for a given feeder.
     """
-    adjacency: dict[NodeId, list[tuple[NodeId, Branch]]] = {
-        node: [] for node in feeder.nodes
-    }
+    position = {node: i for i, node in enumerate(feeder.nodes)}
+    n = len(feeder.nodes)
+    adjacency: list[list[tuple[int, Branch]]] = [[] for _ in range(n)]
     for branch in feeder.branches:
-        adjacency[branch.from_node].append((branch.to_node, branch))
-        adjacency[branch.to_node].append((branch.from_node, branch))
+        a, b = position[branch.from_node], position[branch.to_node]
+        adjacency[a].append((b, branch))
+        adjacency[b].append((a, branch))
 
-    order = [feeder.slack]
-    parent: dict[NodeId, NodeId] = {}
-    branch_for: dict[NodeId, Branch] = {}
-    children: dict[NodeId, list[NodeId]] = {node: [] for node in feeder.nodes}
-    visited = {feeder.slack}
+    order = [0]
+    parent = [-1] * n
+    feeding: list[Branch | None] = [None] * n
+    children: list[list[int]] = [[] for _ in range(n)]
     frontier = 0
     while frontier < len(order):
         node = order[frontier]
         frontier += 1
         for neighbor, branch in adjacency[node]:
-            if neighbor in visited:
+            if neighbor == 0 or feeding[neighbor] is not None:
                 continue
-            visited.add(neighbor)
             parent[neighbor] = node
-            branch_for[neighbor] = branch
+            feeding[neighbor] = branch
             children[node].append(neighbor)
             order.append(neighbor)
+    branches = tuple(feeding[1:])
+    ends = np.array(
+        [(position[b.from_node], position[b.to_node]) for b in branches],
+        dtype=np.intp,
+    ).reshape(-1, 2)
     return TreeInfo(
         order=tuple(order),
-        parent=parent,
-        branch_for=branch_for,
-        children={k: tuple(v) for k, v in children.items()},
+        parent=tuple(parent),
+        children=tuple(tuple(c) for c in children),
+        branches=branches,
+        ends=ends,
     )
 
 
 def build_incidence(feeder: Feeder) -> IncidenceModel:
     """Build the oriented incidence matrix and its slack split."""
     tree = feeder.tree
-    position = {node: i for i, node in enumerate(feeder.nodes)}
-    # Row i holds the branch feeding the (i+1)-th node of the feeder,
-    # keeping a_m triangular for topologically ordered nodes.
-    ordered = [tree.branch_for[node] for node in feeder.nodes[1:]]
-    n, m = len(feeder.nodes), len(feeder.branches)
-    a = np.zeros((m, n))
-    for row, branch in enumerate(ordered):
-        a[row, position[branch.from_node]] = 1.0
-        a[row, position[branch.to_node]] = -1.0
+    # Row k holds the branch feeding node k + 1, keeping a_m triangular
+    # for topologically ordered nodes.
+    m = len(tree.branches)
+    a = np.zeros((m, len(feeder.nodes)))
+    rows = np.arange(m)
+    a[rows, tree.ends[:, 0]] = 1.0
+    a[rows, tree.ends[:, 1]] = -1.0
     return IncidenceModel(
         a=a,
         a_s=a[:, 0].copy(),
         a_m=a[:, 1:].copy(),
-        branch_order=tuple(branch.id for branch in ordered),
+        branch_order=tuple(branch.id for branch in tree.branches),
         nodes=feeder.nodes,
     )
 
 
-def branch_by_id(feeder: Feeder) -> dict[str, Branch]:
-    return {branch.id: branch for branch in feeder.branches}
+def impedance_blocks(feeder: Feeder) -> np.ndarray:
+    """Per-branch impedances in incidence row order as one (m, p, p) stack,
+    checked against the minimum-magnitude tolerance."""
+    branches = feeder.tree.branches
+    p = feeder.phase_count
+    stack = np.asarray(
+        [branch.impedance for branch in branches], dtype=np.complex128
+    ).reshape(len(branches), p, p)
+    if p == 1:
+        small = np.abs(stack[:, 0, 0]) < MIN_IMPEDANCE
+    else:
+        small = np.abs(np.linalg.det(stack)) < MIN_IMPEDANCE**3
+    if np.any(small):
+        row = int(np.argmax(small))
+        if p == 1:
+            raise SingularError(
+                f"branch {branches[row].id}: impedance magnitude "
+                f"{abs(stack[row, 0, 0]):.3e} is below {MIN_IMPEDANCE:g}"
+            )
+        raise SingularError(
+            f"branch {branches[row].id}: impedance matrix is singular"
+        )
+    return stack
 
 
-def impedance_blocks(inc: IncidenceModel, feeder: Feeder) -> list[np.ndarray]:
-    """Per-branch impedances in incidence row order, checked against the
-    minimum-magnitude tolerance; 1x1 arrays in single-phase mode."""
-    by_id = branch_by_id(feeder)
-    blocks = []
-    for branch_id in inc.branch_order:
-        branch = by_id[branch_id]
-        if feeder.phase_count == 1:
-            z = complex(branch.impedance)
-            if abs(z) < MIN_IMPEDANCE:
-                raise SingularError(
-                    f"branch {branch_id}: impedance magnitude {abs(z):.3e} "
-                    f"is below {MIN_IMPEDANCE:g}"
-                )
-            blocks.append(np.array([[z]], dtype=np.complex128))
-        else:
-            z = branch.matrix()
-            if abs(np.linalg.det(z)) < MIN_IMPEDANCE**3:
-                raise SingularError(
-                    f"branch {branch_id}: impedance matrix is singular"
-                )
-            blocks.append(z)
-    return blocks
+def _block_diagonal(stack: np.ndarray) -> np.ndarray:
+    """Dense block-diagonal matrix of an (m, p, p) stack."""
+    m, p, _ = stack.shape
+    out = np.zeros((m, p, m, p), dtype=np.complex128)
+    rows = np.arange(m)
+    out[rows, :, rows, :] = stack
+    return out.reshape(m * p, m * p)
 
 
 def phase_expand(matrix: np.ndarray, phase_count: int) -> np.ndarray:
@@ -334,10 +356,7 @@ def phase_expand(matrix: np.ndarray, phase_count: int) -> np.ndarray:
 
 def branch_impedance_matrix(inc: IncidenceModel, feeder: Feeder) -> np.ndarray:
     """Block-diagonal impedance of all branches in incidence row order."""
-    blocks = impedance_blocks(inc, feeder)
-    if not blocks:
-        return np.zeros((0, 0), dtype=np.complex128)
-    return block_diag(*blocks).astype(np.complex128)
+    return _block_diagonal(impedance_blocks(feeder))
 
 
 def reduced_impedance(inc: IncidenceModel, feeder: Feeder) -> ReducedImpedance:
@@ -366,12 +385,6 @@ def ybus(inc: IncidenceModel, feeder: Feeder) -> np.ndarray:
     Rows sum to zero (no shunt elements are modeled); the lower-right block
     is the inverse of the reduced impedance matrix.
     """
-    blocks = impedance_blocks(inc, feeder)
-    inverses = [np.linalg.inv(block) for block in blocks]
-    c = (
-        block_diag(*inverses).astype(np.complex128)
-        if inverses
-        else np.zeros((0, 0), dtype=np.complex128)
-    )
+    c = _block_diagonal(np.linalg.inv(impedance_blocks(feeder)))
     a = phase_expand(inc.a, feeder.phase_count)
     return a.T @ c @ a

@@ -7,6 +7,8 @@ oracle iterates the scalar voltage equation directly.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from radialflow import Branch, Feeder, ZipLoad
@@ -111,6 +113,22 @@ def random_radial_feeder(
         branches=tuple(branches),
         loads=tuple(loads),
     )
+
+
+def shuffled(
+    rng: np.random.Generator, feeder: Feeder, flip: float = 0.4
+) -> Feeder:
+    """The same feeder with its non-slack nodes listed in random order and
+    about ``flip`` of its branches stored in reverse orientation."""
+    rest = list(feeder.nodes[1:])
+    rng.shuffle(rest)
+    branches = tuple(
+        replace(b, from_node=b.to_node, to_node=b.from_node)
+        if rng.uniform() < flip
+        else b
+        for b in feeder.branches
+    )
+    return replace(feeder, nodes=(feeder.slack, *rest), branches=branches)
 
 
 def brute_force_reduced_impedance(a_m: np.ndarray, z: np.ndarray) -> np.ndarray:

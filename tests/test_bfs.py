@@ -8,6 +8,7 @@ from radialflow import (
     Branch,
     ConvergenceError,
     RadialityError,
+    SingularError,
     ZipLoad,
     assemble,
     build_incidence,
@@ -19,6 +20,7 @@ from radialflow import (
 from helpers import (
     chain_feeder,
     random_radial_feeder,
+    shuffled,
     two_bus_feeder,
     two_bus_fixed_point,
 )
@@ -85,6 +87,39 @@ class TestSolveBfs:
         ))
         with pytest.raises(RadialityError, match="cycle"):
             solve_bfs(ring)
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_sub_minimum_impedance_rejected(self, phase_count):
+        feeder = random_radial_feeder(
+            np.random.default_rng(21), 6, phase_count
+        )
+        tiny = 1e-10 if phase_count == 1 else tuple(
+            tuple(1e-10 if i == j else 0.0 for j in range(3))
+            for i in range(3)
+        )
+        branches = list(feeder.branches)
+        branches[2] = replace(branches[2], impedance=tiny)
+        with pytest.raises(SingularError, match=f"branch {branches[2].id}:"):
+            solve_bfs(replace(feeder, branches=tuple(branches)))
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_node_order_does_not_change_the_sweep(self, phase_count):
+        # The sweep sums each node's children in walk order, whatever order
+        # the nodes are listed in: results agree to the last bit.
+        rng = np.random.default_rng(40 + phase_count)
+        for _ in range(15):
+            feeder = random_radial_feeder(
+                rng, int(rng.integers(2, 30)), phase_count, profile="zip",
+                delta_fraction=0.3 if phase_count == 3 else 0.0,
+            )
+            other = shuffled(rng, feeder)
+            sol = solve_bfs(feeder, BfsOptions(tolerance=1e-10))
+            moved = solve_bfs(other, BfsOptions(tolerance=1e-10))
+            position = {node: i for i, node in enumerate(other.nodes)}
+            back = [position[node] for node in feeder.nodes]
+            v = moved.voltages.reshape(-1, phase_count)[back].reshape(-1)
+            assert np.array_equal(v, sol.voltages)
+            assert moved.iterations == sol.iterations
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

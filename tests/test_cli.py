@@ -15,7 +15,7 @@ from radialflow import (
     solve_bfs,
     solve_linear_full,
 )
-from radialflow.cli import main
+from radialflow.cli import LINEAR_METHODS, main
 from radialflow.io import serialize_feeder
 from helpers import two_bus_feeder
 
@@ -72,6 +72,38 @@ class TestExitCodes:
 
     def test_solve_ok(self, valid_file, capsys):
         assert main(["solve", valid_file]) == 0
+
+    @pytest.mark.parametrize("method", LINEAR_METHODS)
+    def test_non_finite_linear_solution_is_a_solver_error(
+        self, tmp_path, method
+    ):
+        doc = json.loads(VALID)
+        doc["options"]["v_base"] = 1e-300
+        path = tmp_path / "tiny_base.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "radialflow.cli", "solve", str(path),
+             "--format", "csv", "--method", method],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+    def test_nodes_not_a_list_is_a_parse_error(self, tmp_path):
+        doc = json.loads(VALID)
+        doc["nodes"] = 5
+        path = tmp_path / "int_nodes.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "radialflow.cli", "solve", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "nodes: expected a list" in proc.stderr
 
     def test_solve_on_cycle_is_validation_error(self, cyclic_file):
         assert main(["solve", cyclic_file]) == 2

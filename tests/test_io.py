@@ -125,6 +125,13 @@ class TestParseFeeder:
         with pytest.raises(ParseError, match="phase_count"):
             parse_feeder(json.dumps(doc))
 
+    @pytest.mark.parametrize("nodes", [5, "12", {"1": "2"}])
+    def test_nodes_must_be_a_list(self, nodes):
+        doc = json.loads(MINIMAL)
+        doc["nodes"] = nodes
+        with pytest.raises(ParseError, match="nodes: expected a list"):
+            parse_feeder(json.dumps(doc))
+
     def test_matrix_impedance_entry_count(self):
         doc = json.loads(MINIMAL)
         doc["phase_count"] = 3

@@ -21,8 +21,9 @@ from radialflow import (
     summarize,
     v_min,
 )
-from helpers import chain_feeder, random_radial_feeder, two_bus_feeder
+from helpers import chain_feeder, random_radial_feeder, shuffled, two_bus_feeder
 from radialflow.loads import PHASE_ROTATIONS
+from radialflow.network import branch_impedance_matrix, phase_expand
 
 
 def _three_phase_solution(mags_by_node):
@@ -82,6 +83,33 @@ class TestBranchFlows:
         assert abs(flows_f.drops[row, 0] + flows_r.drops[row, 0]) < 1e-12
         assert abs(flows_f.currents[row, 0] + flows_r.currents[row, 0]) < 1e-10
         assert losses(flows_f) == pytest.approx(losses(flows_r), abs=1e-12)
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_matches_dense_oracle(self, phase_count):
+        # I = Z^-1 A V with the dense block-diagonal Z and the
+        # phase-expanded A, on topological and shuffled node orders with
+        # some branches stored in reverse.
+        rng = np.random.default_rng(30 + phase_count)
+        for trial in range(16):
+            feeder = random_radial_feeder(
+                rng, int(rng.integers(2, 25)), phase_count, profile="zip"
+            )
+            if trial % 2:
+                feeder = shuffled(rng, feeder)
+            sol = solve_linear(assemble(feeder))
+            inc = build_incidence(feeder)
+            flows = branch_flows(sol, inc, feeder)
+            drops = phase_expand(inc.a, phase_count) @ sol.voltages
+            currents = np.linalg.solve(
+                branch_impedance_matrix(inc, feeder), drops
+            )
+            assert np.max(np.abs(flows.currents.reshape(-1) - currents)) < 1e-12
+            assert np.array_equal(flows.drops.reshape(-1), drops)
+
+    def test_solution_of_another_feeder_rejected(self):
+        small, large = chain_feeder(3, 0.01 + 0.02j), chain_feeder(4, 0.01j)
+        with pytest.raises(ValueError):
+            branch_flows(solve_bfs(large), build_incidence(small), small)
 
 
 class TestLosses:

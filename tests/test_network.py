@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,45 @@ class TestFeederConstruction:
         rows[0][1] = 0.002 + 0.001j
         with pytest.raises(ValueError):
             Branch("b1", "1", "2", tuple(tuple(r) for r in rows))
+
+    @pytest.mark.parametrize(
+        "impedance",
+        [
+            complex(math.nan, 0.01),
+            complex(0.01, math.inf),
+            tuple(
+                tuple(complex(math.nan) if i == j == 1 else 0.01j
+                      for j in range(3))
+                for i in range(3)
+            ),
+        ],
+    )
+    def test_non_finite_impedance_rejected(self, impedance):
+        with pytest.raises(ValueError, match="finite"):
+            Branch("b1", "1", "2", impedance)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("phase_count", True),
+            ("slack_voltage", complex(math.nan, 0.0)),
+            ("slack_voltage", complex(math.inf, 0.0)),
+            ("v_base", math.nan),
+            ("v_base", math.inf),
+            ("s_base", math.nan),
+        ],
+    )
+    def test_non_finite_or_boolean_field_rejected(self, field, value):
+        fields = dict(
+            name="t",
+            phase_count=1,
+            nodes=("1", "2"),
+            slack_voltage=1.0 + 0j,
+            branches=(Branch("b1", "1", "2", 0.01 + 0.01j),),
+        )
+        fields[field] = value
+        with pytest.raises(ValueError):
+            Feeder(**fields)
 
     def test_delta_load_needs_three_phase(self):
         with pytest.raises(ValueError):
