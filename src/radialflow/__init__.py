@@ -31,7 +31,7 @@ from .linsolve import (
     solve_linear,
     solve_linear_full,
 )
-from .loads import ZipLoad, delta_to_wye_injections, injection_current, wye_equivalents
+from .loads import ZipLoad, delta_to_wye_injections, injection_current
 from .metrics import (
     BranchFlows,
     MetricsReport,
@@ -112,6 +112,5 @@ __all__ = [
     "v_min",
     "validate_radial",
     "write_solution",
-    "wye_equivalents",
     "ybus",
 ]

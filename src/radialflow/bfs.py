@@ -47,9 +47,7 @@ def solve_bfs(feeder: Feeder, opts: BfsOptions | None = None) -> Solution:
     reverse_order = tree.order[::-1]
 
     for iterations in range(1, opts.max_iterations + 1):
-        injections = nodal_injections(
-            feeder.loads, feeder.nodes, voltages, feeder.h, p
-        ).reshape(n, p)
+        injections = nodal_injections(feeder, voltages).reshape(n, p)
         # Backward: current fed into each node's subtree from its parent.
         into_subtree = np.zeros((n, p), dtype=np.complex128)
         for node in reverse_order:
@@ -111,10 +109,7 @@ def residual(feeder: Feeder, sol: Solution) -> float:
         )
     inc = build_incidence(feeder)
     y = ybus(inc, feeder)
-    injections = nodal_injections(
-        feeder.loads, feeder.nodes, sol.voltages, feeder.h, p
-    )
-    mismatch = y @ sol.voltages - injections
+    mismatch = y @ sol.voltages - nodal_injections(feeder, sol.voltages)
     if len(feeder.nodes) == 1:
         return 0.0
     return float(np.max(np.abs(mismatch[p:])))

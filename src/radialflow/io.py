@@ -173,7 +173,7 @@ def parse_feeder(text: str) -> Feeder:
         if not isinstance(raw, dict):
             raise ParseError(f"{ctx}: expected an object")
         node = str(_require(raw, "node", ctx))
-        if node not in set(nodes):
+        if node not in known:
             raise ParseError(f"{ctx}: unknown node {node}")
         if node == slack_node:
             raise ParseError(

@@ -126,16 +126,18 @@ def _system_parts(feeder: Feeder):
     """Shared pieces of both solver modes for the non-slack unknowns."""
     red = reduced_impedance(build_incidence(feeder), feeder)
     h = feeder.h
-    s_z, s_i, s_p = load_vectors(feeder.loads, feeder.nodes, feeder.phase_count)
+    s_z, s_i, s_p = load_vectors(feeder)
     cut = feeder.phase_count  # drop the slack slots
     s_z, s_i, s_p = s_z[cut:], s_i[cut:], s_p[cut:]
     rho = _per_unknown(PHASE_ROTATIONS[: feeder.phase_count], feeder)
     a_vec = _per_unknown(feeder.slack_phasors(), feeder)
     d = red.d
     size = d.shape[0]
-    sys_a = np.eye(size, dtype=np.complex128) + h * h * (
-        d * np.conjugate(s_z)[np.newaxis, :]
-    )
+    # An overflowing h * h must give non-finite voltages, not numpy warnings.
+    with np.errstate(all="ignore"):
+        sys_a = np.eye(size, dtype=np.complex128) + h * h * (
+            d * np.conjugate(s_z)[np.newaxis, :]
+        )
     p_base = d @ (np.conjugate(s_p) * rho)
     i_base = d @ (np.conjugate(s_i) * rho)
     return sys_a, p_base, i_base, rho, a_vec
@@ -207,7 +209,8 @@ def solve_linear_full(
     # Rows live in voltage-squared units: the conjugate-voltage expansion of
     # each constant-power row is kept whole, while the exact impedance and
     # current terms are scaled by c_v so they stay exact on pure feeders.
-    m1 = c_v[:, np.newaxis] * sys_a
+    with np.errstate(all="ignore"):  # a non-finite sys_a, as above
+        m1 = c_v[:, np.newaxis] * sys_a
     m2_diag = c_vbar - a_vec
     b = -np.conjugate(rho) * p_base - c_v * feeder.h * i_base - c_0
 

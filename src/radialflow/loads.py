@@ -1,4 +1,4 @@
-"""ZIP load model: current injections, delta legs, and wye equivalents.
+"""ZIP load model: per-slot load tables, current injections and delta legs.
 
 Load powers are consumption-positive throughout: a load with positive real
 part draws power, and the corresponding nodal current injection carries a
@@ -12,11 +12,14 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import VoltageCollapseError
+
+if TYPE_CHECKING:
+    from .network import Feeder
 
 logger = logging.getLogger(__name__)
 
@@ -39,15 +42,24 @@ LINE_TRANSFORM = np.array(
     [[1, -1, 0], [0, 1, -1], [-1, 0, 1]], dtype=np.complex128
 )
 
-#: Delta leg endpoints by leg index (ab, bc, ca).
-_LEG_ENDPOINTS = ((0, 1), (1, 2), (2, 0))
+_ROTATIONS = np.array(PHASE_ROTATIONS)
+
+#: Legs ab, bc, ca run from phase k to phase k + 1 (mod 3).
+_LEG_NAMES = ("ab", "bc", "ca")
+_LEG_SPAN = _ROTATIONS - np.roll(_ROTATIONS, -1)
 
 #: Unit phasors of the nominal line voltages, used to orient constant-current
 #: delta legs the same way wye constant-current loads are oriented per phase.
-_LINE_ROTATIONS = tuple(
-    (PHASE_ROTATIONS[p] - PHASE_ROTATIONS[q]) / math.sqrt(3)
-    for p, q in _LEG_ENDPOINTS
-)
+_LINE_ROTATIONS = _LEG_SPAN / math.sqrt(3)
+
+#: Wye-equivalent split of each delta leg (rows) onto the phases (columns):
+#: the leg from phase p to q goes to p with the factor rho_p/(rho_p - rho_q)
+#: and to q with -rho_q/(rho_p - rho_q). The factors sum to one, so total
+#: leg power is conserved and a balanced delta maps to the identical
+#: balanced wye.
+_LEG_SPLIT = (
+    np.diag(_ROTATIONS) - np.roll(np.diag(_ROTATIONS), -1, axis=0)
+) / _LEG_SPAN[:, np.newaxis]
 
 
 @dataclass(frozen=True)
@@ -94,6 +106,111 @@ def drop_zero_loads(loads: Iterable[ZipLoad]) -> tuple[ZipLoad, ...]:
     return tuple(kept)
 
 
+def _slots(stack: np.ndarray) -> tuple:
+    """Rows and columns of the loaded slots of a (3, n, k) stack, and their
+    conjugated (s_z, s_i, s_p), shape (3, count)."""
+    rows, cols = np.nonzero(np.any(stack != 0, axis=0))
+    return rows, cols, np.conjugate(stack[:, rows, cols])
+
+
+@dataclass(frozen=True)
+class LoadTable:
+    """A feeder's loads summed per slot as consumption-positive (s_z, s_i,
+    s_p) stacks: ``wye`` per node and phase, shape (3, n, p), and ``delta``
+    per node and leg ab/bc/ca, shape (3, n, 3), or None on single-phase
+    feeders. Both stacks are read-only; ``wye_slots`` and ``delta_slots``
+    hold their loaded slots as ``_slots`` gives them."""
+
+    wye: np.ndarray
+    delta: np.ndarray | None
+    wye_slots: tuple
+    delta_slots: tuple | None
+
+
+def load_table(
+    loads: Iterable[ZipLoad], nodes: Sequence[NodeId], phase_count: int
+) -> LoadTable:
+    """Sum the loads into their slots, so loads sharing a slot add up: one
+    pass over the loads, then one unbuffered add into a table whose delta
+    rows follow the wye rows."""
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    rows = 2 * n if phase_count == 3 else n
+    flat, values = [], []
+    for load in loads:
+        if load.phase == "all" or phase_count == 1:
+            legs = range(phase_count)
+        else:
+            legs = (PHASES.index(load.phase),)
+        row = index[load.node] + (n if load.connection == "delta" else 0)
+        for leg in legs:
+            flat.append(row * phase_count + leg)
+            values.append((load.s_z, load.s_i, load.s_p))
+    table = np.zeros((3, rows * phase_count), dtype=np.complex128)
+    parts = np.array(values, dtype=np.complex128).reshape(-1, 3).T
+    np.add.at(table, (slice(None), np.array(flat, dtype=np.intp)), parts)
+    table.flags.writeable = False
+    table = table.reshape(3, rows, phase_count)
+    wye, delta = table[:, :n], table[:, n:] if phase_count == 3 else None
+    return LoadTable(
+        wye, delta, _slots(wye), None if delta is None else _slots(delta)
+    )
+
+
+_WYE_COLLAPSE = "voltage magnitude {mag:.3e} at node {node}"
+_DELTA_COLLAPSE = "line voltage magnitude {mag:.3e} on leg {leg} at node {node}"
+
+
+def _draw(
+    slots: tuple,
+    v: np.ndarray,
+    h: float,
+    rotation: np.ndarray,
+    nodes: Sequence[NodeId],
+    collapse: str,
+) -> np.ndarray:
+    """Consumption-positive ZIP current h^2 s_z* v + h s_i* rotation
+    + s_p* / conj(v) at each of the loaded ``slots``, zero elsewhere, for
+    voltages ``v`` of shape (n, k); ``rotation`` holds one nominal phasor per
+    column. A loaded slot at or below COLLAPSE_TOLERANCE raises
+    VoltageCollapseError described by the ``collapse`` template; an
+    overflowing ``h`` yields non-finite values, not warnings."""
+    rows, cols, (s_z, s_i, s_p) = slots
+    v_loaded = v[rows, cols]
+    low = np.abs(v_loaded) <= COLLAPSE_TOLERANCE
+    if np.any(low):
+        k = int(np.argmax(low))
+        where = collapse.format(
+            mag=abs(v_loaded[k]), node=nodes[rows[k]], leg=_LEG_NAMES[cols[k]]
+        )
+        raise VoltageCollapseError(f"{where} is below {COLLAPSE_TOLERANCE:g}")
+    draw = np.zeros(v.shape, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        draw[rows, cols] = (
+            h * h * s_z * v_loaded
+            + h * s_i * rotation[cols]
+            + s_p / np.conjugate(v_loaded)
+        )
+    return draw
+
+
+def _injections(
+    table: LoadTable, v: np.ndarray, h: float, nodes: Sequence[NodeId]
+) -> np.ndarray:
+    """Current injections, shape (n, p), of ``table`` at phase voltages
+    ``v`` of the same shape. Delta legs are evaluated on the line voltages
+    with the voltage scale reduced by sqrt(3), so leg powers stay on the
+    same per-unit base as wye powers, then mapped back to their phases."""
+    draw = _draw(table.wye_slots, v, h, _ROTATIONS, nodes, _WYE_COLLAPSE)
+    if table.delta_slots is not None:
+        v_line = v @ LINE_TRANSFORM.T
+        draw += _draw(
+            table.delta_slots, v_line, h / math.sqrt(3), _LINE_ROTATIONS, nodes,
+            _DELTA_COLLAPSE,
+        ) @ LINE_TRANSFORM
+    return -draw
+
+
 def injection_current(
     load: ZipLoad, v: complex, h: float = 1.0, rotation: complex = 1.0 + 0j
 ) -> complex:
@@ -104,165 +221,52 @@ def injection_current(
     orients the constant-current component along its nominal phase (unity in
     single-phase analysis).
     """
-    if abs(v) <= COLLAPSE_TOLERANCE:
-        raise VoltageCollapseError(
-            f"voltage magnitude {abs(v):.3e} at node {load.node} is below "
-            f"{COLLAPSE_TOLERANCE:g}"
-        )
-    draw = (
-        h * h * load.s_z.conjugate() * v
-        + h * load.s_i.conjugate() * rotation
-        + load.s_p.conjugate() / v.conjugate()
+    s = np.array([load.s_z, load.s_i, load.s_p]).reshape(3, 1, 1)
+    draw = _draw(
+        _slots(s), np.array([[v]], dtype=np.complex128), h, np.array([rotation]),
+        (load.node,), _WYE_COLLAPSE,
     )
-    return -draw
-
-
-def _delta_legs(
-    loads: Iterable[ZipLoad],
-) -> list[tuple[complex, complex, complex]]:
-    """Sum delta-load components into the three legs ab, bc, ca."""
-    legs = [[0j, 0j, 0j] for _ in range(3)]
-    for load in loads:
-        if load.connection != "delta":
-            raise ValueError("only delta loads belong in delta legs")
-        targets = range(3) if load.phase == "all" else (PHASES.index(load.phase),)
-        for leg in targets:
-            legs[leg][0] += load.s_z
-            legs[leg][1] += load.s_i
-            legs[leg][2] += load.s_p
-    return [tuple(leg) for leg in legs]
+    return -complex(draw[0, 0])
 
 
 def delta_to_wye_injections(
     loads: Sequence[ZipLoad], v_abc: Sequence[complex], h: float = 1.0
 ) -> np.ndarray:
-    """Phase current injections of the delta loads at one node.
-
-    Evaluates each loaded leg on the line voltage it sees, with the voltage
-    scale reduced by sqrt(3) so leg powers stay on the same per-unit base as
-    wye powers, then maps leg currents back to phase injections. The three
-    injections sum to zero (no neutral path).
-    """
+    """Phase current injections of delta loads that all see the phase
+    voltages ``v_abc``. The three injections sum to zero (no neutral
+    path)."""
     v_abc = np.asarray(v_abc, dtype=np.complex128)
     if v_abc.shape != (3,):
         raise ValueError("v_abc must hold exactly three phase voltages")
-    legs = _delta_legs(loads)
-    v_line = LINE_TRANSFORM @ v_abc
-    h_leg = h / math.sqrt(3)
-    leg_draw = np.zeros(3, dtype=np.complex128)
-    for idx, (s_z, s_i, s_p) in enumerate(legs):
-        if s_z == 0 and s_i == 0 and s_p == 0:
-            continue
-        vl = v_line[idx]
-        if abs(vl) <= COLLAPSE_TOLERANCE:
-            raise VoltageCollapseError(
-                f"line voltage magnitude {abs(vl):.3e} on leg "
-                f"{PHASES[_LEG_ENDPOINTS[idx][0]]}{PHASES[_LEG_ENDPOINTS[idx][1]]} "
-                f"is below {COLLAPSE_TOLERANCE:g}"
-            )
-        leg_draw[idx] = (
-            h_leg * h_leg * s_z.conjugate() * vl
-            + h_leg * s_i.conjugate() * _LINE_ROTATIONS[idx]
-            + s_p.conjugate() / vl.conjugate()
-        )
-    return -(LINE_TRANSFORM.T @ leg_draw)
+    if any(load.connection != "delta" for load in loads):
+        raise ValueError("only delta loads belong in delta legs")
+    nodes = tuple(dict.fromkeys(load.node for load in loads))
+    v = np.broadcast_to(v_abc, (len(nodes), 3))
+    return _injections(load_table(loads, nodes, 3), v, h, nodes).sum(axis=0)
 
 
-def wye_equivalents(loads: Iterable[ZipLoad]) -> tuple[ZipLoad, ...]:
-    """Convert delta loads into equivalent per-phase wye ZIP loads.
-
-    Each leg between phases p and q is split across the two phases with the
-    complex factors rho_p/(rho_p - rho_q) and -rho_q/(rho_p - rho_q), which
-    sum to one, so total leg power is conserved and a balanced delta maps to
-    the identical balanced wye. Wye loads pass through unchanged. The split
-    is exact at balanced voltages and first-order accurate under unbalance;
-    it is how delta loads enter the linear solver.
-    """
-    converted = []
-    for load in loads:
-        if load.connection == "wye":
-            converted.append(load)
-            continue
-        legs = range(3) if load.phase == "all" else (PHASES.index(load.phase),)
-        for leg in legs:
-            p, q = _LEG_ENDPOINTS[leg]
-            denom = PHASE_ROTATIONS[p] - PHASE_ROTATIONS[q]
-            for phase_idx, factor in (
-                (p, PHASE_ROTATIONS[p] / denom),
-                (q, -PHASE_ROTATIONS[q] / denom),
-            ):
-                converted.append(
-                    ZipLoad(
-                        node=load.node,
-                        s_z=load.s_z * factor,
-                        s_i=load.s_i * factor,
-                        s_p=load.s_p * factor,
-                        phase=PHASES[phase_idx],
-                        connection="wye",
-                    )
-                )
-    return tuple(converted)
-
-
-def _phase_indices(load: ZipLoad, phase_count: int) -> tuple[int, ...]:
-    if phase_count == 1:
-        return (0,)
-    if load.phase == "all":
-        return (0, 1, 2)
-    return (PHASES.index(load.phase),)
-
-
-def load_vectors(
-    loads: Iterable[ZipLoad],
-    nodes: Sequence[NodeId],
-    phase_count: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def load_vectors(feeder: Feeder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Consumption-positive (s_z, s_i, s_p) vectors over node-major
-    node/phase slots, with delta loads replaced by wye equivalents."""
-    index = {node: i for i, node in enumerate(nodes)}
-    size = len(nodes) * phase_count
-    s_z = np.zeros(size, dtype=np.complex128)
-    s_i = np.zeros(size, dtype=np.complex128)
-    s_p = np.zeros(size, dtype=np.complex128)
-    for load in wye_equivalents(loads):
-        base = index[load.node] * phase_count
-        for phase in _phase_indices(load, phase_count):
-            s_z[base + phase] += load.s_z
-            s_i[base + phase] += load.s_i
-            s_p[base + phase] += load.s_p
+    node/phase slots, with each delta leg split onto its two phases by
+    ``_LEG_SPLIT``. The split is exact at balanced voltages and first-order
+    accurate under unbalance; it is how delta loads enter the linear
+    solver. The vectors are fresh arrays the caller may modify."""
+    table = feeder.load_table
+    wye = table.wye.copy()
+    if table.delta is not None:
+        wye += table.delta @ _LEG_SPLIT
+    s_z, s_i, s_p = wye.reshape(3, -1)
     return s_z, s_i, s_p
 
 
-def nodal_injections(
-    loads: Iterable[ZipLoad],
-    nodes: Sequence[NodeId],
-    voltages: np.ndarray,
-    h: float,
-    phase_count: int,
-) -> np.ndarray:
+def nodal_injections(feeder: Feeder, voltages: np.ndarray) -> np.ndarray:
     """Exact nodal current injections I(V) for the given voltage profile.
 
     Wye loads are evaluated per phase; delta loads are evaluated on the
     actual line voltages at their node. This is the model the iterative
     solver satisfies and the one nodal residuals are measured against.
     """
-    voltages = np.asarray(voltages, dtype=np.complex128)
-    index = {node: i for i, node in enumerate(nodes)}
-    injections = np.zeros(len(nodes) * phase_count, dtype=np.complex128)
-    delta_by_node: dict[NodeId, list[ZipLoad]] = {}
-    for load in loads:
-        if load.connection == "delta":
-            delta_by_node.setdefault(load.node, []).append(load)
-            continue
-        base = index[load.node] * phase_count
-        for phase in _phase_indices(load, phase_count):
-            rotation = PHASE_ROTATIONS[phase] if phase_count == 3 else 1.0 + 0j
-            injections[base + phase] += injection_current(
-                load, voltages[base + phase], h, rotation
-            )
-    for node, node_loads in delta_by_node.items():
-        base = index[node] * phase_count
-        injections[base : base + 3] += delta_to_wye_injections(
-            node_loads, voltages[base : base + 3], h
-        )
-    return injections
+    p = feeder.phase_count
+    v = np.asarray(voltages, dtype=np.complex128).reshape(-1, p)
+    injections = _injections(feeder.load_table, v, feeder.h, feeder.nodes)
+    return injections.reshape(-1)

@@ -125,14 +125,11 @@ def power_balance(
     For a converged iterative solution the slack injection equals load plus
     loss; the gap certifies solution quality.
     """
-    p = feeder.phase_count
     flows = branch_flows(sol, inc, feeder)
     # Slack rows of A^T I_F: the current the source pushes into the feeder.
     slack_current = inc.a_s @ flows.currents
     slack_power = np.sum(feeder.slack_phasors() * np.conjugate(slack_current))
-    injections = nodal_injections(
-        feeder.loads, feeder.nodes, sol.voltages, feeder.h, p
-    )
+    injections = nodal_injections(feeder, sol.voltages)
     load_power = np.sum(sol.voltages * np.conjugate(-injections))
     p_loss, q_loss = losses(flows)
     return complex(slack_power), complex(load_power), complex(p_loss, q_loss)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import RadialityError, SingularError
-from .loads import NodeId, ZipLoad
+from .loads import PHASE_ROTATIONS, LoadTable, NodeId, ZipLoad, load_table
 
 #: Impedances with magnitude below this are rejected; the model has no
 #: zero-impedance switch representation.
@@ -139,6 +139,12 @@ class Feeder:
             raise RadialityError(report.violations)
         return tree_structure(self)
 
+    @cached_property
+    def load_table(self) -> LoadTable:
+        """The loads summed per node and phase (wye) and per node and leg
+        (delta), computed once per feeder object on first use."""
+        return load_table(self.loads, self.nodes, self.phase_count)
+
     @property
     def h(self) -> float:
         """Voltage scale 1/V_base; unity for per-unit analysis."""
@@ -146,8 +152,6 @@ class Feeder:
 
     def slack_phasors(self) -> np.ndarray:
         """Slack voltage per phase (rotated nominals in three-phase mode)."""
-        from .loads import PHASE_ROTATIONS
-
         rotations = PHASE_ROTATIONS[: self.phase_count]
         return self.slack_voltage * np.asarray(rotations, dtype=np.complex128)
 

@@ -170,17 +170,18 @@ def two_bus_feeder(
 
 def chain_feeder(
     n: int,
-    z: complex,
+    z: complex | tuple[tuple[complex, ...], ...],
     v_s: complex = 1.0 + 0j,
     loads: tuple[ZipLoad, ...] = (),
 ) -> Feeder:
+    """Chain 1-2-...-n; a 3x3 ``z`` makes it three-phase."""
     nodes = tuple(str(i + 1) for i in range(n))
     branches = tuple(
         Branch(f"b{i}", nodes[i - 1], nodes[i], z) for i in range(1, n)
     )
     return Feeder(
         name=f"chain-{n}",
-        phase_count=1,
+        phase_count=3 if isinstance(z, tuple) else 1,
         nodes=nodes,
         slack_voltage=v_s,
         branches=branches,

@@ -73,7 +73,7 @@ class TestExitCodes:
     def test_solve_ok(self, valid_file, capsys):
         assert main(["solve", valid_file]) == 0
 
-    @pytest.mark.parametrize("method", LINEAR_METHODS)
+    @pytest.mark.parametrize("method", (*LINEAR_METHODS, "bfs"))
     def test_non_finite_linear_solution_is_a_solver_error(
         self, tmp_path, method
     ):
@@ -89,7 +89,9 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
         assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
+        # One diagnostic line: no traceback, no numpy warning.
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver error: ")
 
     def test_nodes_not_a_list_is_a_parse_error(self, tmp_path):
         doc = json.loads(VALID)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from radialflow import (
     BfsOptions,
     Branch,
+    ConvergenceError,
     Feeder,
     LinearizationPoint,
     SingularError,
@@ -274,3 +276,15 @@ def test_linearization_point_validation():
     feeder = two_bus_feeder()
     with pytest.raises(ValueError):
         solve_linear_full(feeder, LinearizationPoint((1.0 + 0j, 1.0 + 0j)))
+
+
+@pytest.mark.parametrize("name", ["balanced_ten_bus", "unbalanced_ten_bus"])
+@pytest.mark.parametrize("method", ["linear-simple", "linear-full", "bfs"])
+def test_overflowing_voltage_scale_is_a_solver_error(name, method):
+    # h * h overflows; the solvers report it without numpy warnings, which
+    # the test settings turn into errors.
+    import radialflow
+
+    feeder = replace(radialflow.example_feeder(name), v_base=1e-300)
+    with pytest.raises((SingularError, ConvergenceError)):
+        solve(feeder, method)

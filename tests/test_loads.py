@@ -8,12 +8,30 @@ from radialflow import (
     ZipLoad,
     delta_to_wye_injections,
     injection_current,
-    wye_equivalents,
 )
-from radialflow.loads import PHASE_ROTATIONS, drop_zero_loads
+from radialflow.loads import (
+    PHASE_ROTATIONS,
+    drop_zero_loads,
+    load_vectors,
+    nodal_injections,
+)
+from helpers import chain_feeder
 
 
 NOMINAL_ABC = np.array(PHASE_ROTATIONS)
+
+Z1 = 0.01 + 0.02j
+Z3 = tuple(
+    tuple(0.01 + 0.02j if i == j else 0.004 + 0.008j for j in range(3))
+    for i in range(3)
+)
+
+
+def _node_vectors(load):
+    """load_vectors of a 2-node three-phase feeder, as (s_z, s_i, s_p) at
+    node 2's phases a, b, c."""
+    s_z, s_i, s_p = load_vectors(chain_feeder(2, Z3, loads=(load,)))
+    return s_z[3:], s_i[3:], s_p[3:]
 
 
 class TestInjectionCurrent:
@@ -113,39 +131,154 @@ class TestDeltaInjections:
 
 
 class TestWyeEquivalents:
+    """Delta legs enter ``load_vectors`` split onto their two phases."""
+
     def test_wye_passes_through(self):
         load = ZipLoad(node="2", s_p=0.1)
-        assert wye_equivalents([load]) == (load,)
+        s_z, s_i, s_p = _node_vectors(load)
+        assert np.array_equal(s_p, np.full(3, load.s_p))
+        assert not np.any(s_z) and not np.any(s_i)
 
     def test_split_factors_conserve_power(self):
         load = ZipLoad(node="2", s_p=0.12 + 0.05j, s_z=0.04 + 0.01j,
                        phase="a", connection="delta")
-        parts = wye_equivalents([load])
-        assert len(parts) == 2
-        assert all(p.connection == "wye" for p in parts)
-        assert abs(sum(p.s_p for p in parts) - load.s_p) < 1e-15
-        assert abs(sum(p.s_z for p in parts) - load.s_z) < 1e-15
+        s_z, _, s_p = _node_vectors(load)
+        assert np.count_nonzero(s_p) == 2
+        assert abs(s_p.sum() - load.s_p) < 1e-15
+        assert abs(s_z.sum() - load.s_z) < 1e-15
 
     def test_balanced_delta_equals_balanced_wye(self):
         s = 0.09 + 0.04j
         load = ZipLoad(node="2", s_p=s, phase="all", connection="delta")
-        per_phase = {"a": 0j, "b": 0j, "c": 0j}
-        for part in wye_equivalents([load]):
-            per_phase[part.phase] += part.s_p
-        for value in per_phase.values():
+        _, _, s_p = _node_vectors(load)
+        for value in s_p:
             assert abs(value - s) < 1e-12
 
     def test_equivalents_match_exact_injections_at_nominal(self):
         load = ZipLoad(node="2", s_p=0.15 + 0.06j, phase="b",
                        connection="delta")
         exact = delta_to_wye_injections([load], NOMINAL_ABC)
-        approx = np.zeros(3, dtype=complex)
-        for part in wye_equivalents([load]):
-            idx = "abc".index(part.phase)
-            approx[idx] += injection_current(
-                part, NOMINAL_ABC[idx], rotation=PHASE_ROTATIONS[idx]
+        _, _, s_p = _node_vectors(load)
+        approx = np.array([
+            injection_current(
+                ZipLoad(node="2", s_p=s_p[idx]), NOMINAL_ABC[idx],
+                rotation=PHASE_ROTATIONS[idx],
             )
+            for idx in range(3)
+        ])
         assert np.max(np.abs(exact - approx)) < 1e-12
+
+
+#: Several loads per node: wye "all" plus a single-phase wye at node 2,
+#: delta "all" plus a single-leg delta at node 3, both kinds at node 4.
+_STACKED = (
+    ZipLoad(node="2", s_z=0.02 + 0.01j, s_i=0.01, s_p=0.03 + 0.01j),
+    ZipLoad(node="2", s_p=0.04 + 0.02j, s_i=0.005j, phase="b"),
+    ZipLoad(node="3", s_z=0.01 + 0.004j, s_p=0.02 + 0.01j,
+            connection="delta"),
+    ZipLoad(node="3", s_i=0.03 + 0.01j, s_p=0.01, phase="c",
+            connection="delta"),
+    ZipLoad(node="4", s_p=0.02 + 0.01j, phase="a"),
+    ZipLoad(node="4", s_z=0.015, s_p=0.01 + 0.002j, phase="b",
+            connection="delta"),
+)
+
+
+class TestStackedLoads:
+    """Loads sharing a node add up in the feeder's load table."""
+
+    def _voltages(self, feeder):
+        rng = np.random.default_rng(5)
+        n, p = len(feeder.nodes), feeder.phase_count
+        nominal = np.tile(NOMINAL_ABC[:p], n)
+        return nominal * (1 + rng.uniform(-0.05, 0.05, n * p)) * np.exp(
+            1j * rng.uniform(-0.05, 0.05, n * p)
+        )
+
+    def test_injections_are_the_per_load_sum(self):
+        feeder = chain_feeder(4, Z3, loads=_STACKED)
+        v = self._voltages(feeder)
+        expected = np.zeros(12, dtype=complex)
+        for load in feeder.loads:
+            base = feeder.nodes.index(load.node) * 3
+            if load.connection == "delta":
+                expected[base : base + 3] += delta_to_wye_injections(
+                    [load], v[base : base + 3], feeder.h
+                )
+                continue
+            phases = range(3) if load.phase == "all" else ["abc".index(load.phase)]
+            for k in phases:
+                expected[base + k] += injection_current(
+                    load, v[base + k], feeder.h, PHASE_ROTATIONS[k]
+                )
+        got = nodal_injections(feeder, v)
+        assert np.max(np.abs(got - expected)) < 1e-14
+
+    def test_single_phase_injections_are_the_per_load_sum(self):
+        loads = (
+            ZipLoad(node="2", s_z=0.02, s_p=0.03 + 0.01j),
+            ZipLoad(node="2", s_i=0.01 + 0.002j, s_p=0.01, phase="c"),
+            ZipLoad(node="3", s_p=0.02 + 0.01j),
+        )
+        feeder = chain_feeder(3, Z1, loads=loads)
+        v = self._voltages(feeder)
+        expected = np.zeros(3, dtype=complex)
+        for load in loads:
+            k = feeder.nodes.index(load.node)
+            expected[k] += injection_current(load, v[k], feeder.h)
+        got = nodal_injections(feeder, v)
+        assert np.max(np.abs(got - expected)) < 1e-14
+
+    def test_load_vectors_are_the_per_leg_split(self):
+        feeder = chain_feeder(4, Z3, loads=_STACKED)
+        expected = np.zeros((3, 12), dtype=complex)
+        for load in feeder.loads:
+            base = feeder.nodes.index(load.node) * 3
+            parts = np.array([load.s_z, load.s_i, load.s_p])
+            legs = range(3) if load.phase == "all" else ["abc".index(load.phase)]
+            for leg in legs:
+                if load.connection == "wye":
+                    expected[:, base + leg] += parts
+                    continue
+                p, q = leg, (leg + 1) % 3
+                rho_p, rho_q = PHASE_ROTATIONS[p], PHASE_ROTATIONS[q]
+                expected[:, base + p] += parts * rho_p / (rho_p - rho_q)
+                expected[:, base + q] += parts * -rho_q / (rho_p - rho_q)
+        got = np.array(load_vectors(feeder))
+        assert np.max(np.abs(got - expected)) < 1e-14
+
+    @pytest.mark.parametrize("z", [Z1, Z3], ids=["1", "3"])
+    def test_load_vectors_are_fresh_arrays(self, z):
+        feeder = chain_feeder(3, z, loads=(ZipLoad(node="2", s_p=0.02),))
+        s_z, s_i, s_p = load_vectors(feeder)
+        s_p *= 2
+        assert np.array_equal(load_vectors(feeder)[2], s_p / 2)
+
+
+class TestNodalCollapse:
+    def test_wye_slot_names_the_node(self):
+        feeder = chain_feeder(
+            3, Z3, loads=(ZipLoad(node="3", s_p=0.1, phase="b"),)
+        )
+        v = np.tile(NOMINAL_ABC, 3)
+        v[7] = 1e-7
+        with pytest.raises(VoltageCollapseError, match="at node 3"):
+            nodal_injections(feeder, v)
+
+    def test_delta_leg_names_the_leg_and_node(self):
+        load = ZipLoad(node="2", s_p=0.1, phase="a", connection="delta")
+        feeder = chain_feeder(3, Z3, loads=(load,))
+        v = np.tile(NOMINAL_ABC, 3)
+        v[4] = v[3]  # phases a and b coincide: leg ab sees no voltage
+        with pytest.raises(
+            VoltageCollapseError, match="on leg ab at node 2"
+        ):
+            nodal_injections(feeder, v)
+
+    def test_unloaded_slots_are_not_checked(self):
+        feeder = chain_feeder(3, Z1, loads=(ZipLoad(node="2"),))
+        v = np.array([1.0, 0.0, 0.0], dtype=complex)
+        assert not np.any(nodal_injections(feeder, v))
 
 
 def test_drop_zero_loads_warns(caplog):
