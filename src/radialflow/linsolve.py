@@ -40,11 +40,14 @@ def linearize_vsq(v0: complex) -> tuple[complex, complex, complex]:
     """First-order coefficients of V * conj(V) around ``v0``.
 
     Returns (c_v, c_vbar, c_0) with V * conj(V) ~ c_v V + c_vbar conj(V)
-    + c_0; the expansion is exact at V = v0.
+    + c_0; the expansion is exact at V = v0. The numpy ufuncs round as
+    they do on arrays (Python's ``abs`` and ``**`` may differ in the last
+    bit), so per-phasor coefficients match a vectorized evaluation.
     """
-    if abs(v0) <= 0:
+    magnitude = np.abs(v0)
+    if magnitude <= 0:
         raise ValueError("linearization point must have positive magnitude")
-    return v0.conjugate(), v0, -abs(v0) ** 2
+    return np.conjugate(v0), v0, -np.square(magnitude)
 
 
 @dataclass(frozen=True)
@@ -201,10 +204,10 @@ def solve_linear_full(
     """
     point = _resolve_v0(feeder, v0)
     sys_a, p_base, i_base, rho, a_vec = _system_parts(feeder)
-    v0_vec = _per_unknown(point.phasors, feeder)
-    c_v = np.conjugate(v0_vec)
-    c_vbar = v0_vec
-    c_0 = -np.abs(v0_vec) ** 2
+    c_v, c_vbar, c_0 = (
+        _per_unknown(coefficient, feeder)
+        for coefficient in zip(*map(linearize_vsq, point.phasors))
+    )
 
     # Rows live in voltage-squared units: the conjugate-voltage expansion of
     # each constant-power row is kept whole, while the exact impedance and

@@ -4,7 +4,9 @@ A feeder is a tree rooted at the slack node: n nodes, n - 1 branches. The
 oriented incidence matrix A (one row per branch, +1 at the from node, -1 at
 the to node) links branch drops to node voltages, and its slack/non-slack
 split (A_S, A_M) yields the reduced impedance matrix
-D = A_M^-1 Z A_M^-T, the inverse of the slack-reduced bus admittance.
+D = A_M^-1 Z A_M^-T, the inverse of the slack-reduced bus admittance. Row k
+of A_M is the branch feeding node k + 1, so applying A_M^-1 is a forward
+substitution down the tree, one depth level at a time, in any node order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import RadialityError, SingularError
 from .loads import PHASE_ROTATIONS, LoadTable, NodeId, ZipLoad, load_table
@@ -66,9 +67,9 @@ class Branch:
 class Feeder:
     """Immutable description of a radial feeder.
 
-    ``nodes`` lists every node with the slack first; parse-produced feeders
-    are in topological order (parents before children), which keeps the
-    non-slack incidence block triangular.
+    ``nodes`` lists every node with the slack first, in any order;
+    parse-produced feeders list them in the tree's walk order (parents
+    before children).
     """
 
     name: str
@@ -167,9 +168,10 @@ class IncidenceModel:
     """Signed incidence matrix of a validated feeder and its slack split.
 
     ``a`` is m x n with columns ordered as ``nodes``; ``a_s`` is the slack
-    column and ``a_m`` the square non-slack block. Branch rows are ordered by
-    the position of each branch's child node (the endpoint farther from the
-    slack), so ``a_m`` is lower triangular whenever ``nodes`` is topological.
+    column and ``a_m`` the square non-slack block. Row k holds the branch
+    feeding node k + 1, so ``a_m`` has that branch's orientation (+-1) on
+    its diagonal and the opposite sign in the parent's column, whatever the
+    node order.
     """
 
     a: np.ndarray
@@ -193,13 +195,15 @@ class TreeInfo:
     ``feeder.nodes``: the walk order from the slack, each node's parent
     (-1 for the slack) and children, and the branch feeding node k + 1,
     which is incidence row k, with the from/to positions of its stored
-    orientation in ``ends`` (shape (m, 2))."""
+    orientation in ``ends`` (shape (m, 2)). Depth d of the walk is
+    ``order[levels[d]:levels[d + 1]]``; the slack alone is depth 0."""
 
     order: tuple[int, ...]
     parent: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     branches: tuple[Branch, ...]
     ends: np.ndarray
+    levels: tuple[int, ...]
 
 
 def validate_radial(feeder: Feeder) -> ValidationReport:
@@ -270,10 +274,13 @@ def tree_structure(feeder: Feeder) -> TreeInfo:
 
     order = [0]
     parent = [-1] * n
+    levels = [0, 1]
     feeding: list[Branch | None] = [None] * n
     children: list[list[int]] = [[] for _ in range(n)]
     frontier = 0
     while frontier < len(order):
+        if frontier == levels[-1]:  # this depth is all queued: next starts
+            levels.append(len(order))
         node = order[frontier]
         frontier += 1
         for neighbor, branch in adjacency[node]:
@@ -294,14 +301,14 @@ def tree_structure(feeder: Feeder) -> TreeInfo:
         children=tuple(tuple(c) for c in children),
         branches=branches,
         ends=ends,
+        levels=tuple(levels),
     )
 
 
 def build_incidence(feeder: Feeder) -> IncidenceModel:
     """Build the oriented incidence matrix and its slack split."""
     tree = feeder.tree
-    # Row k holds the branch feeding node k + 1, keeping a_m triangular
-    # for topologically ordered nodes.
+    # Row k holds the branch feeding node k + 1.
     m = len(tree.branches)
     a = np.zeros((m, len(feeder.nodes)))
     rows = np.arange(m)
@@ -363,24 +370,48 @@ def branch_impedance_matrix(inc: IncidenceModel, feeder: Feeder) -> np.ndarray:
     return _block_diagonal(impedance_blocks(feeder))
 
 
+def _forward_substitute(tree: TreeInfo, b: np.ndarray) -> np.ndarray:
+    """Solve phase_expand(A_M) X = B, B holding one block of rows per
+    non-slack node.
+
+    Row k of A_M holds the orientation s_k = +-1 at node k + 1 and -s_k at
+    its parent, so X[k] = s_k B[k] + X[parent], with the slack's X zero.
+    That is a triangular solve's arithmetic with the zeros skipped. The
+    rows are taken in walk order, so each depth level is one slice and one
+    numpy statement.
+    """
+    order = np.asarray(tree.order, dtype=np.intp)
+    walk = np.empty_like(order)
+    walk[order] = np.arange(order.size)
+    up = walk[np.asarray(tree.parent, dtype=np.intp)[order]]
+    rows = order[1:] - 1
+    sign = np.where(tree.ends[rows, 0] == order[1:], 1.0, -1.0)
+    blocks = b.reshape(rows.size, -1, b.shape[1])
+    x = np.empty((order.size, *blocks.shape[1:]), dtype=np.complex128)
+    x[0] = 0.0
+    np.multiply(sign[:, None, None], blocks.take(rows, axis=0), out=x[1:])
+    for lo, hi in zip(tree.levels[1:], tree.levels[2:]):
+        x[lo:hi] += x.take(up[lo:hi], axis=0)
+    return x.take(walk[1:], axis=0).reshape(b.shape)
+
+
 def reduced_impedance(inc: IncidenceModel, feeder: Feeder) -> ReducedImpedance:
     """Compute D = A_M^-1 Z A_M^-T.
 
-    Uses two triangular solves when the non-slack incidence block is lower
-    triangular (the topologically ordered case); otherwise a general LU
-    solve. The matrix is never inverted explicitly.
+    Two forward substitutions down the tree: A_M^-1 Z, then A_M^-1 applied
+    to its transpose, in O(n^2) for any node order. The matrix is never
+    inverted explicitly.
     """
     z = branch_impedance_matrix(inc, feeder)
-    a_m = phase_expand(inc.a_m, feeder.phase_count)
-    if a_m.shape[0] == 0:
+    if z.shape[0] == 0:
         return ReducedImpedance(d=np.zeros((0, 0), dtype=np.complex128))
-    if not np.any(np.triu(inc.a_m, 1)):
-        half = solve_triangular(a_m, z, lower=True)
-        d = solve_triangular(a_m, half.T, lower=True).T
-    else:
-        half = np.linalg.solve(a_m, z)
-        d = np.linalg.solve(a_m, half.T).T
-    return ReducedImpedance(d=d)
+    half = _forward_substitute(feeder.tree, z)
+    # The transposed view needs no copy: the substitution's first gather
+    # reads it into walk order anyway.
+    d = _forward_substitute(feeder.tree, half.T).T
+    # C order, as the voltages' matrix products round differently on an
+    # F-ordered D.
+    return ReducedImpedance(d=np.ascontiguousarray(d))
 
 
 def ybus(inc: IncidenceModel, feeder: Feeder) -> np.ndarray:

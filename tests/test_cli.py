@@ -288,6 +288,23 @@ def test_console_entry_point_runs(valid_file):
     assert proc.stdout == "OK\n"
 
 
+def test_cli_imports_no_scipy():
+    # The solve path is plain numpy; importing scipy would add several
+    # tenths of a second to every CLI run.
+    path = Path(radialflow.__file__).parent / "data" / "unbalanced_ten_bus.json"
+    child = (
+        "import sys\n"
+        "from radialflow.cli import main\n"
+        f"assert main(['solve', {str(path)!r}]) == 0\n"
+        "loaded = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_method_flag_rejected_outside_solve_and_compare(valid_file, capsys):
     for command in ("validate", "metrics"):
         with pytest.raises(SystemExit) as excinfo:

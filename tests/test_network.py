@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
     brute_force_reduced_impedance,
     chain_feeder,
     random_radial_feeder,
+    shuffled,
     two_bus_feeder,
 )
 
@@ -121,16 +123,31 @@ class TestReducedImpedance:
         assert np.allclose(red.d, [[r, r], [r, 2 * r]], atol=1e-14)
 
     def test_matches_brute_force_inversion(self):
+        # Both phase counts, in declared and in shuffled node order with
+        # reversed branches.
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            feeder = random_radial_feeder(rng, int(rng.integers(2, 20)))
-            inc = build_incidence(feeder)
-            red = reduced_impedance(inc, feeder)
-            # branch rows follow incidence order, rebuild accordingly
-            by_id = {b.id: complex(b.impedance) for b in feeder.branches}
-            z = np.diag([by_id[bid] for bid in inc.branch_order])
-            expected = brute_force_reduced_impedance(inc.a_m, z)
-            assert np.allclose(red.d, expected, atol=1e-12)
+        for phase_count, shuffle in itertools.product((1, 3), (False, True)):
+            for _ in range(10):
+                feeder = random_radial_feeder(
+                    rng, int(rng.integers(2, 20)), phase_count=phase_count
+                )
+                if shuffle:
+                    feeder = shuffled(rng, feeder)
+                inc = build_incidence(feeder)
+                red = reduced_impedance(inc, feeder)
+                # branch rows follow incidence order, rebuild accordingly
+                by_id = {b.id: b.impedance for b in feeder.branches}
+                size = len(inc.branch_order) * phase_count
+                z = np.zeros((size, size), dtype=complex)
+                for k, bid in enumerate(inc.branch_order):
+                    block = slice(k * phase_count, (k + 1) * phase_count)
+                    z[block, block] = by_id[bid]
+                a_m = np.kron(inc.a_m, np.eye(phase_count))
+                expected = brute_force_reduced_impedance(a_m, z)
+                assert np.allclose(red.d, expected, rtol=0, atol=1e-12)
+                # The solvers' matrix products round differently on an
+                # F-ordered D, which would move the voltages' last bits.
+                assert red.d.flags.c_contiguous
 
     def test_inverse_identity(self):
         rng = np.random.default_rng(4)
@@ -155,8 +172,9 @@ class TestReducedImpedance:
             reduced_impedance(build_incidence(feeder), feeder)
 
     def test_non_topological_node_order_still_correct(self):
-        # Parsing normalizes node order, but directly built feeders may
-        # list children before parents; the LU fallback must agree.
+        # Parsing lists parents before children, but directly built
+        # feeders may not; the substitution follows the tree, not the
+        # node order, and must agree with explicit inversion.
         feeder = make_feeder(
             ["1", "3", "2"],
             [
