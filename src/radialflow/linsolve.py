@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SingularError
 from .loads import PHASE_ROTATIONS, load_vectors
-from .network import Feeder, build_incidence, reduced_impedance
+from .network import Feeder, reduced_impedance
 
 if TYPE_CHECKING:
     from .bfs import BfsOptions
@@ -127,7 +127,7 @@ def _per_unknown(values, feeder: Feeder) -> np.ndarray:
 
 def _system_parts(feeder: Feeder):
     """Shared pieces of both solver modes for the non-slack unknowns."""
-    red = reduced_impedance(build_incidence(feeder), feeder)
+    red = reduced_impedance(None, feeder)
     h = feeder.h
     s_z, s_i, s_p = load_vectors(feeder)
     cut = feeder.phase_count  # drop the slack slots
@@ -137,10 +137,11 @@ def _system_parts(feeder: Feeder):
     d = red.d
     size = d.shape[0]
     # An overflowing h * h must give non-finite voltages, not numpy warnings.
+    # I + h^2 D diag(conj s_z), built in one (np)^2 array.
     with np.errstate(all="ignore"):
-        sys_a = np.eye(size, dtype=np.complex128) + h * h * (
-            d * np.conjugate(s_z)[np.newaxis, :]
-        )
+        sys_a = d * np.conjugate(s_z)[np.newaxis, :]
+        sys_a *= h * h
+        sys_a.flat[:: size + 1] += 1.0
     p_base = d @ (np.conjugate(s_p) * rho)
     i_base = d @ (np.conjugate(s_i) * rho)
     return sys_a, p_base, i_base, rho, a_vec
@@ -213,7 +214,8 @@ def solve_linear_full(
     # each constant-power row is kept whole, while the exact impedance and
     # current terms are scaled by c_v so they stay exact on pure feeders.
     with np.errstate(all="ignore"):  # a non-finite sys_a, as above
-        m1 = c_v[:, np.newaxis] * sys_a
+        # In place, as sys_a is not read again.
+        m1 = np.multiply(c_v[:, np.newaxis], sys_a, out=sys_a)
     m2_diag = c_vbar - a_vec
     b = -np.conjugate(rho) * p_base - c_v * feeder.h * i_base - c_0
 
@@ -222,9 +224,12 @@ def solve_linear_full(
         return _solution(feeder, np.zeros(0, dtype=np.complex128), "linear-full")
     stacked = np.zeros((2 * size, 2 * size))
     stacked[:size, :size] = m1.real
-    stacked[:size, size:] = -m1.imag
+    np.negative(m1.imag, out=stacked[:size, size:])
     stacked[size:, :size] = m1.imag
     stacked[size:, size:] = m1.real
+    # Free the complex matrix before LAPACK copies the real system: this
+    # solve is the peak of the package's memory use.
+    del sys_a, m1
     idx = np.arange(size)
     stacked[idx, idx] += m2_diag.real
     stacked[idx, size + idx] += m2_diag.imag

@@ -7,6 +7,8 @@ split (A_S, A_M) yields the reduced impedance matrix
 D = A_M^-1 Z A_M^-T, the inverse of the slack-reduced bus admittance. Row k
 of A_M is the branch feeding node k + 1, so applying A_M^-1 is a forward
 substitution down the tree, one depth level at a time, in any node order.
+The bus admittance Y = A^T C A is scattered from the per-branch admittance
+blocks, without forming A or any dense product.
 """
 
 from __future__ import annotations
@@ -357,21 +359,18 @@ def _block_diagonal(stack: np.ndarray) -> np.ndarray:
     return out.reshape(m * p, m * p)
 
 
-def phase_expand(matrix: np.ndarray, phase_count: int) -> np.ndarray:
-    """Kronecker block extension: each incidence entry becomes a scaled
-    identity block of the phase size."""
-    if phase_count == 1:
-        return matrix.astype(np.complex128)
-    return np.kron(matrix, np.eye(phase_count)).astype(np.complex128)
+def branch_impedance_matrix(
+    inc: IncidenceModel | None, feeder: Feeder
+) -> np.ndarray:
+    """Block-diagonal impedance of all branches in incidence row order.
 
-
-def branch_impedance_matrix(inc: IncidenceModel, feeder: Feeder) -> np.ndarray:
-    """Block-diagonal impedance of all branches in incidence row order."""
+    Read from ``feeder.tree`` alone; ``inc`` is unused and may be None.
+    """
     return _block_diagonal(impedance_blocks(feeder))
 
 
 def _forward_substitute(tree: TreeInfo, b: np.ndarray) -> np.ndarray:
-    """Solve phase_expand(A_M) X = B, B holding one block of rows per
+    """Solve kron(A_M, I_p) X = B, B holding one block of rows per
     non-slack node.
 
     Row k of A_M holds the orientation s_k = +-1 at node k + 1 and -s_k at
@@ -395,12 +394,15 @@ def _forward_substitute(tree: TreeInfo, b: np.ndarray) -> np.ndarray:
     return x.take(walk[1:], axis=0).reshape(b.shape)
 
 
-def reduced_impedance(inc: IncidenceModel, feeder: Feeder) -> ReducedImpedance:
+def reduced_impedance(
+    inc: IncidenceModel | None, feeder: Feeder
+) -> ReducedImpedance:
     """Compute D = A_M^-1 Z A_M^-T.
 
     Two forward substitutions down the tree: A_M^-1 Z, then A_M^-1 applied
     to its transpose, in O(n^2) for any node order. The matrix is never
-    inverted explicitly.
+    inverted explicitly. A_M is read from ``feeder.tree``, so ``inc`` is
+    unused and may be None.
     """
     z = branch_impedance_matrix(inc, feeder)
     if z.shape[0] == 0:
@@ -417,9 +419,25 @@ def reduced_impedance(inc: IncidenceModel, feeder: Feeder) -> ReducedImpedance:
 def ybus(inc: IncidenceModel, feeder: Feeder) -> np.ndarray:
     """Full bus admittance matrix A^T C A with C the branch admittances.
 
-    Rows sum to zero (no shunt elements are modeled); the lower-right block
-    is the inverse of the reduced impedance matrix.
+    Scattered straight from the (m, p, p) admittance stack: branch k with
+    ends (f, t) adds y_k to the diagonal blocks (f, f) and (t, t) and puts
+    -y_k in (f, t) and (t, f). No dense product is formed, so the cost is
+    the O((np)^2) zero fill plus O(m p^2), and the output is the only
+    (np)^2 allocation. Rows sum to zero (no shunt elements are modeled);
+    the lower-right block is the inverse of the reduced impedance matrix.
+    Raises ValueError when ``inc`` was built for another node list.
     """
-    c = _block_diagonal(np.linalg.inv(impedance_blocks(feeder)))
-    a = phase_expand(inc.a, feeder.phase_count)
-    return a.T @ c @ a
+    if inc.nodes != feeder.nodes:
+        raise ValueError("incidence model belongs to a different feeder")
+    n, p = len(feeder.nodes), feeder.phase_count
+    y = np.linalg.inv(impedance_blocks(feeder))
+    ends = feeder.tree.ends
+    # Each node's diagonal block sums its branches in incidence row order.
+    diagonal = np.zeros((n, p, p), dtype=np.complex128)
+    np.add.at(diagonal, ends.ravel(), np.repeat(y, 2, axis=0))
+    out = np.zeros((n, p, n, p), dtype=np.complex128)
+    nodes = np.arange(n)
+    out[nodes, :, nodes, :] = diagonal
+    f, t = ends.T
+    out[f, :, t, :] = out[t, :, f, :] = -y
+    return out.reshape(n * p, n * p)

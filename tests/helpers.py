@@ -137,6 +137,21 @@ def brute_force_reduced_impedance(a_m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return a_inv @ z @ a_inv.T
 
 
+def dense_ybus(inc, feeder: Feeder) -> np.ndarray:
+    """Oracle for the bus admittance: the dense product A^T C A, with C the
+    block diagonal of the inverted branch impedances in incidence row
+    order and A phase-expanded by a Kronecker product."""
+    p = feeder.phase_count
+    by_id = {b.id: b.impedance for b in feeder.branches}
+    m = len(inc.branch_order)
+    c = np.zeros((m * p, m * p), dtype=complex)
+    for k, branch_id in enumerate(inc.branch_order):
+        z = np.asarray(by_id[branch_id], dtype=complex).reshape(p, p)
+        c[k * p:(k + 1) * p, k * p:(k + 1) * p] = np.linalg.inv(z)
+    a = np.kron(inc.a, np.eye(p))
+    return a.T @ c @ a
+
+
 def two_bus_fixed_point(
     v_s: complex, z: complex, s_p: complex, tol: float = 1e-14
 ) -> complex:

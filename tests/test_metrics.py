@@ -23,7 +23,7 @@ from radialflow import (
 )
 from helpers import chain_feeder, random_radial_feeder, shuffled, two_bus_feeder
 from radialflow.loads import PHASE_ROTATIONS
-from radialflow.network import branch_impedance_matrix, phase_expand
+from radialflow.network import branch_impedance_matrix
 
 
 def _three_phase_solution(mags_by_node):
@@ -99,7 +99,7 @@ class TestBranchFlows:
             sol = solve_linear(assemble(feeder))
             inc = build_incidence(feeder)
             flows = branch_flows(sol, inc, feeder)
-            drops = phase_expand(inc.a, phase_count) @ sol.voltages
+            drops = np.kron(inc.a, np.eye(phase_count)) @ sol.voltages
             currents = np.linalg.solve(
                 branch_impedance_matrix(inc, feeder), drops
             )

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from radialflow import (
     SingularError,
     ZipLoad,
     build_incidence,
+    parse_feeder,
     reduced_impedance,
     validate_radial,
     ybus,
@@ -18,6 +22,7 @@ from radialflow import (
 from helpers import (
     brute_force_reduced_impedance,
     chain_feeder,
+    dense_ybus,
     random_radial_feeder,
     shuffled,
     two_bus_feeder,
@@ -211,6 +216,87 @@ class TestYbus:
         y = ybus(inc, feeder)
         red = reduced_impedance(inc, feeder)
         assert np.allclose(y[1:, 1:] @ red.d, np.eye(2), atol=1e-10)
+
+
+    @staticmethod
+    def assert_matches_oracle(feeder):
+        inc = build_incidence(feeder)
+        y = ybus(inc, feeder)
+        expected = dense_ybus(inc, feeder)
+        assert y.flags.c_contiguous
+        assert y.shape == expected.shape
+        scale = np.max(np.abs(expected), initial=0.0)
+        assert np.max(np.abs(y - expected), initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_matches_dense_oracle(self, phase_count):
+        rng = np.random.default_rng(60 + phase_count)
+        for n in (2, 3, 9, 40):
+            feeder = random_radial_feeder(rng, n, phase_count=phase_count)
+            self.assert_matches_oracle(feeder)
+            # Reversed branches and a non-topological node order.
+            self.assert_matches_oracle(shuffled(rng, feeder, flip=0.5))
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_star_feeder_matches_dense_oracle(self, phase_count):
+        # Five branches meet at the slack; every other node is a leaf.
+        rng = np.random.default_rng(70)
+        z = 0.01 + 0.02j
+        nodes = [str(i) for i in range(6)]
+        branches = []
+        for i in range(1, 6):
+            zi = z * rng.uniform(0.5, 2.0)
+            if phase_count == 3:
+                zi = tuple(
+                    tuple(zi if r == c else 0.3 * zi for c in range(3))
+                    for r in range(3)
+                )
+            ends = ("0", nodes[i]) if i % 2 else (nodes[i], "0")
+            branches.append(Branch(f"b{i}", *ends, zi))
+        self.assert_matches_oracle(make_feeder(nodes, branches, phase_count))
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_single_node_feeder_is_zero_block(self, phase_count):
+        feeder = make_feeder(["1"], [], phase_count)
+        y = ybus(build_incidence(feeder), feeder)
+        assert y.shape == (phase_count, phase_count)
+        assert not y.any()
+        self.assert_matches_oracle(feeder)
+
+    def test_rejects_incidence_of_another_feeder(self):
+        rng = np.random.default_rng(71)
+        feeder = random_radial_feeder(rng, 8)
+        other = random_radial_feeder(rng, 9)
+        with pytest.raises(ValueError, match="different feeder"):
+            ybus(build_incidence(other), feeder)
+        reordered = shuffled(rng, feeder, flip=0.0)
+        with pytest.raises(ValueError, match="different feeder"):
+            ybus(build_incidence(reordered), feeder)
+
+    @pytest.mark.parametrize("n, phase_count", [(400, 1), (120, 3)])
+    def test_peak_memory_is_about_the_output(self, n, phase_count):
+        # The scatter allocates nothing else of the output's size; the dense
+        # product A^T C A peaks at about four times it.
+        gen = _perfbench_gen()
+        doc = gen.feeder_doc(17, n, phase_count, 0.92)
+        feeder = parse_feeder(gen.dumps(doc))
+        inc = build_incidence(feeder)
+        tracemalloc.start()
+        try:
+            y = ybus(inc, feeder)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * y.nbytes
+
+
+def _perfbench_gen():
+    """The benchmark's seeded feeder generator, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_branch_flow_reconstruction():
