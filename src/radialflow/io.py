@@ -15,7 +15,8 @@ import csv
 import io as _stdio
 import json
 import math
-from dataclasses import replace
+import operator
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import ParseError
 from .linsolve import Solution
 from .loads import PHASES, ZipLoad, drop_zero_loads
 from .metrics import MetricsReport
-from .network import Branch, Feeder
+from .network import _MATRIX_SYMMETRY_TOL, Branch, Feeder, in_walk_order
 
 SCHEMA_VERSION = "1"
 
@@ -37,12 +38,20 @@ def _require(obj: dict, key: str, ctx: str) -> Any:
     return obj[key]
 
 
+def _number(value: Any) -> float:
+    """A JSON number as a float; TypeError for anything else, bools
+    included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _finite(value: Any, ctx: str) -> float:
     """A number as a float; ParseError naming ``ctx`` unless it is finite
     (JSON admits NaN and Infinity)."""
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        number = _number(value)
+    except (TypeError, OverflowError) as exc:
         raise ParseError(f"{ctx}: expected a number") from exc
     if not math.isfinite(number):
         raise ParseError(f"{ctx}: expected a finite number, got {value!r}")
@@ -56,10 +65,11 @@ def _complex(value: Any, ctx: str) -> complex:
         elif not isinstance(value, dict):
             raise ParseError(f"{ctx}: expected a complex value object")
         elif "re" in value or "im" in value:
-            z = complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
+            z = complex(_number(value.get("re", 0.0)),
+                        _number(value.get("im", 0.0)))
         elif "mag" in value:
-            mag = float(value["mag"])
-            angle = math.radians(float(value.get("angle_deg", 0.0)))
+            mag = _number(value["mag"])
+            angle = math.radians(_number(value.get("angle_deg", 0.0)))
             z = complex(mag * math.cos(angle), mag * math.sin(angle))
         else:
             raise ParseError(
@@ -85,13 +95,151 @@ def _impedance(value: Any, ctx: str):
     return _complex(value, ctx)
 
 
+def _branches(raw_branches: list) -> list[Branch]:
+    branches = []
+    for i, raw in enumerate(raw_branches):
+        ctx = f"branches[{i}]"
+        if not isinstance(raw, dict):
+            raise ParseError(f"{ctx}: expected an object")
+        try:
+            branches.append(
+                Branch(
+                    id=str(raw.get("id", f"b{i + 1}")),
+                    from_node=str(_require(raw, "from", ctx)),
+                    to_node=str(_require(raw, "to", ctx)),
+                    impedance=_impedance(
+                        _require(raw, "impedance", ctx), f"{ctx}.impedance"
+                    ),
+                )
+            )
+        except ValueError as exc:
+            raise ParseError(f"{ctx}: {exc}") from exc
+    return branches
+
+
+def _loads(raw_loads: list, known: set, slack_node: str) -> list[ZipLoad]:
+    loads = []
+    for i, raw in enumerate(raw_loads):
+        ctx = f"loads[{i}]"
+        if not isinstance(raw, dict):
+            raise ParseError(f"{ctx}: expected an object")
+        node = str(_require(raw, "node", ctx))
+        if node not in known:
+            raise ParseError(f"{ctx}: unknown node {node}")
+        if node == slack_node:
+            raise ParseError(
+                f"{ctx}: loads at the slack node are not modeled"
+            )
+        try:
+            loads.append(
+                ZipLoad(
+                    node=node,
+                    s_z=_complex(raw.get("s_z", 0.0), f"{ctx}.s_z"),
+                    s_i=_complex(raw.get("s_i", 0.0), f"{ctx}.s_i"),
+                    s_p=_complex(raw.get("s_p", 0.0), f"{ctx}.s_p"),
+                    phase=str(raw.get("phase", "all")),
+                    connection=str(raw.get("connection", "wye")),
+                )
+            )
+        except ValueError as exc:
+            raise ParseError(f"{ctx}: {exc}") from exc
+    return loads
+
+
+# The array pass below reads well-formed sections only. It raises nothing:
+# on anything it does not take (another complex form, a missing field, a
+# value that fails a check) it returns None, and the section goes through
+# the scalar converters above, which name the first bad field.
+_PARTS = operator.itemgetter("re", "im")
+_ZERO = {"re": 0.0, "im": 0.0}
+_COMPONENTS = ("s_z", "s_i", "s_p")
+_NOT_PLAIN = (
+    LookupError, TypeError, ValueError, ArithmeticError, AttributeError
+)
+
+
+def _complex_array(values: Iterable) -> np.ndarray | None:
+    """``re``/``im`` objects as one complex array, or None unless every
+    part is a finite JSON number."""
+    parts = list(chain.from_iterable(map(_PARTS, values)))
+    if not set(map(type, parts)) <= {int, float}:
+        return None
+    z = np.array(parts, dtype=np.float64)
+    return z.view(np.complex128) if np.isfinite(z).all() else None
+
+
+def _branch_pass(raw_branches: list, phase_count: int):
+    """The branches and their (m, p, p) impedance stack in document order,
+    or None."""
+    try:
+        impedances = [raw["impedance"] for raw in raw_branches]
+        if phase_count == 3:
+            if not all(type(z) is list and len(z) == 9 for z in impedances):
+                return None
+            impedances = chain.from_iterable(impedances)
+        z = _complex_array(impedances)
+        if z is None:
+            return None
+        stack = z.reshape(len(raw_branches), phase_count, phase_count)
+        asymmetry = np.abs(stack - stack.transpose(0, 2, 1))
+        if (asymmetry > _MATRIX_SYMMETRY_TOL).any():
+            return None
+        values = z.tolist()
+        if phase_count == 3:
+            # Nine entries a branch: rows of three, then matrices of three
+            # rows, grouped by zipping one iterator with itself.
+            rows = zip(*[iter(values)] * 3)
+            values = list(zip(*[rows] * 3))
+        branches = [
+            Branch(
+                str(raw["id"]) if "id" in raw else f"b{i + 1}",
+                str(raw["from"]),
+                str(raw["to"]),
+                value,
+            )
+            for i, (raw, value) in enumerate(zip(raw_branches, values))
+        ]
+    except _NOT_PLAIN:
+        return None
+    return branches, stack
+
+
+def _load_pass(raw_loads: list, known: set, slack_node: str):
+    """The loads in document order, or None."""
+    try:
+        nodes = [str(raw["node"]) for raw in raw_loads]
+        if slack_node in nodes or not known.issuperset(nodes):
+            return None
+        z = _complex_array(
+            raw.get(key, _ZERO) for raw in raw_loads for key in _COMPONENTS
+        )
+        if z is None:
+            return None
+        return [
+            ZipLoad(
+                node,
+                s_z,
+                s_i,
+                s_p,
+                str(raw.get("phase", "all")),
+                str(raw.get("connection", "wye")),
+            )
+            for node, raw, (s_z, s_i, s_p) in zip(
+                nodes, raw_loads, z.reshape(-1, 3).tolist()
+            )
+        ]
+    except _NOT_PLAIN:
+        return None
+
+
 def parse_feeder(text: str) -> Feeder:
     """Parse and validate a feeder document.
 
     Radiality is validated in the declared node order, then the nodes are
-    reordered topologically (slack first, parents before children).
-    Radiality violations raise RadialityError, anything structural raises
-    ParseError naming the offending field.
+    reordered topologically (slack first, parents before children), and
+    the reordered feeder keeps the tree and the impedance stack the parse
+    computed. Radiality violations raise RadialityError, anything
+    structural raises ParseError naming the first offending field.
     """
     try:
         doc = json.loads(text)
@@ -116,27 +264,12 @@ def parse_feeder(text: str) -> Feeder:
     slack_voltage = _complex(_require(slack, "voltage", "slack.voltage"),
                              "slack.voltage")
 
-    branches = []
     raw_branches = doc.get("branches", [])
     if not isinstance(raw_branches, list):
         raise ParseError("branches: expected a list")
-    for i, raw in enumerate(raw_branches):
-        ctx = f"branches[{i}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{ctx}: expected an object")
-        try:
-            branches.append(
-                Branch(
-                    id=str(raw.get("id", f"b{i + 1}")),
-                    from_node=str(_require(raw, "from", ctx)),
-                    to_node=str(_require(raw, "to", ctx)),
-                    impedance=_impedance(
-                        _require(raw, "impedance", ctx), f"{ctx}.impedance"
-                    ),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"{ctx}: {exc}") from exc
+    branches, impedances = _branch_pass(raw_branches, phase_count) or (
+        _branches(raw_branches), None
+    )
 
     explicit_nodes = doc.get("nodes")
     if explicit_nodes is not None:
@@ -164,34 +297,12 @@ def parse_feeder(text: str) -> Feeder:
                     known.add(endpoint)
                     nodes.append(endpoint)
 
-    loads = []
     raw_loads = doc.get("loads", [])
     if not isinstance(raw_loads, list):
         raise ParseError("loads: expected a list")
-    for i, raw in enumerate(raw_loads):
-        ctx = f"loads[{i}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{ctx}: expected an object")
-        node = str(_require(raw, "node", ctx))
-        if node not in known:
-            raise ParseError(f"{ctx}: unknown node {node}")
-        if node == slack_node:
-            raise ParseError(
-                f"{ctx}: loads at the slack node are not modeled"
-            )
-        try:
-            loads.append(
-                ZipLoad(
-                    node=node,
-                    s_z=_complex(raw.get("s_z", 0.0), f"{ctx}.s_z"),
-                    s_i=_complex(raw.get("s_i", 0.0), f"{ctx}.s_i"),
-                    s_p=_complex(raw.get("s_p", 0.0), f"{ctx}.s_p"),
-                    phase=str(raw.get("phase", "all")),
-                    connection=str(raw.get("connection", "wye")),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"{ctx}: {exc}") from exc
+    loads = _load_pass(raw_loads, known, slack_node)
+    if loads is None:
+        loads = _loads(raw_loads, known, slack_node)
 
     options = doc.get("options", {})
     if not isinstance(options, dict):
@@ -212,9 +323,7 @@ def parse_feeder(text: str) -> Feeder:
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return replace(
-        feeder, nodes=tuple(feeder.nodes[k] for k in feeder.tree.order)
-    )
+    return in_walk_order(feeder, impedances)
 
 
 def render_json(doc: Any) -> str:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -52,14 +53,19 @@ class Branch:
             if not cmath.isfinite(self.impedance):
                 raise ValueError(f"branch {self.id}: impedance must be finite")
         else:
-            z = np.asarray(self.impedance, dtype=np.complex128)
-            if z.shape != (3, 3):
+            # Plain Python on the nine entries: a numpy array per branch
+            # costs more than the checks themselves.
+            try:
+                (_, ab, ac), (ba, _, bc), (ca, cb, _) = self.impedance
+            except (TypeError, ValueError) as exc:
                 raise ValueError(
                     f"branch {self.id}: matrix impedance must be 3x3"
-                )
-            if not np.isfinite(z).all():
+                ) from exc
+            entries = chain.from_iterable(self.impedance)
+            if not all(map(cmath.isfinite, entries)):
                 raise ValueError(f"branch {self.id}: impedance must be finite")
-            if np.max(np.abs(z - z.T)) > _MATRIX_SYMMETRY_TOL:
+            asymmetry = max(abs(ab - ba), abs(ac - ca), abs(bc - cb))
+            if asymmetry > _MATRIX_SYMMETRY_TOL:
                 raise ValueError(
                     f"branch {self.id}: impedance matrix is not symmetric"
                 )
@@ -141,6 +147,18 @@ class Feeder:
         if not report.ok:
             raise RadialityError(report.violations)
         return tree_structure(self)
+
+    @cached_property
+    def impedances(self) -> np.ndarray:
+        """The branch impedances in incidence row order as one read-only
+        (m, p, p) stack, built once per feeder object on first use."""
+        branches = self.tree.branches
+        p = self.phase_count
+        stack = np.asarray(
+            [branch.impedance for branch in branches], dtype=np.complex128
+        ).reshape(len(branches), p, p)
+        stack.flags.writeable = False
+        return stack
 
     @cached_property
     def load_table(self) -> LoadTable:
@@ -307,6 +325,49 @@ def tree_structure(feeder: Feeder) -> TreeInfo:
     )
 
 
+def in_walk_order(
+    feeder: Feeder, impedances: np.ndarray | None = None
+) -> Feeder:
+    """The feeder with its nodes listed in walk order (slack first, parents
+    before children), validated in the declared order.
+
+    The tree is walked once, on ``feeder``; the returned feeder is handed
+    that tree relabelled to its own positions, which is what
+    ``tree_structure`` would give it, and, when given, ``impedances``: the
+    (m, p, p) impedance stack in ``feeder.branches`` order.
+    """
+    tree = feeder.tree
+    ordered = replace(
+        feeder, nodes=tuple(feeder.nodes[k] for k in tree.order)
+    )
+    order = np.asarray(tree.order, dtype=np.intp)
+    walk = np.empty_like(order)
+    walk[order] = np.arange(order.size)
+    # Row k feeds walk node k + 1, which was row order[k + 1] - 1.
+    rows = order[1:] - 1
+    parent = np.asarray(tree.parent, dtype=np.intp)[order]
+    parent[1:] = walk[parent[1:]]
+    position = walk.tolist().__getitem__
+    branches = tuple(tree.branches[row] for row in rows.tolist())
+    # Seeding the instance dict is what a cached_property's first use does.
+    ordered.__dict__["tree"] = TreeInfo(
+        order=tuple(range(order.size)),
+        parent=tuple(parent.tolist()),
+        children=tuple(
+            [tuple(map(position, tree.children[k])) for k in tree.order]
+        ),
+        branches=branches,
+        ends=walk[tree.ends[rows]],
+        levels=tree.levels,
+    )
+    if impedances is not None:
+        row_of = {id(branch): k for k, branch in enumerate(feeder.branches)}
+        stack = impedances[[row_of[id(branch)] for branch in branches]]
+        stack.flags.writeable = False
+        ordered.__dict__["impedances"] = stack
+    return ordered
+
+
 def build_incidence(feeder: Feeder) -> IncidenceModel:
     """Build the oriented incidence matrix and its slack split."""
     tree = feeder.tree
@@ -326,13 +387,11 @@ def build_incidence(feeder: Feeder) -> IncidenceModel:
 
 
 def impedance_blocks(feeder: Feeder) -> np.ndarray:
-    """Per-branch impedances in incidence row order as one (m, p, p) stack,
-    checked against the minimum-magnitude tolerance."""
+    """``feeder.impedances``, the read-only (m, p, p) stack in incidence row
+    order, checked against the minimum-magnitude tolerance."""
     branches = feeder.tree.branches
     p = feeder.phase_count
-    stack = np.asarray(
-        [branch.impedance for branch in branches], dtype=np.complex128
-    ).reshape(len(branches), p, p)
+    stack = feeder.impedances
     if p == 1:
         small = np.abs(stack[:, 0, 0]) < MIN_IMPEDANCE
     else:

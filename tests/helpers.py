@@ -7,7 +7,9 @@ oracle iterates the scalar voltage equation directly.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -129,6 +131,15 @@ def shuffled(
         for b in feeder.branches
     )
     return replace(feeder, nodes=(feeder.slack, *rest), branches=branches)
+
+
+def perfbench_gen():
+    """The benchmark's seeded feeder generator, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def brute_force_reduced_impedance(a_m: np.ndarray, z: np.ndarray) -> np.ndarray:

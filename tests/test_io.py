@@ -1,5 +1,8 @@
+import functools
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from radialflow import (
     build_incidence,
     node_errors,
     parse_feeder,
+    network,
     serialize_feeder,
+    solve,
     solve_bfs,
     solve_linear,
     assemble,
@@ -20,6 +25,7 @@ from radialflow import (
     write_solution,
 )
 from radialflow.cli import main
+from helpers import perfbench_gen, random_radial_feeder, shuffled
 
 MINIMAL = """
 {
@@ -110,6 +116,24 @@ class TestParseFeeder:
             (lambda d: d["loads"][0].update(s_z=math.nan), r"loads\[0\].s_z"),
             (lambda d: d.update(options={"v_base": math.nan}), "options.v_base"),
             (lambda d: d.update(options={"s_base": math.inf}), "options.s_base"),
+            # Complex parts and option bases are JSON numbers: a bool or a
+            # numeric string is rejected as it is in a bare value.
+            (lambda d: d["slack"].update(voltage={"re": True}),
+             "slack.voltage: complex parts must be finite numbers$"),
+            (lambda d: d["branches"][0].update(impedance={"re": "1.5"}),
+             r"branches\[0\].impedance: complex parts must be finite numbers$"),
+            (lambda d: d["loads"][0].update(s_p={"re": 0.2, "im": False}),
+             r"loads\[0\].s_p: complex parts must be finite numbers$"),
+            (lambda d: d["loads"][0].update(s_z={"mag": "1", "angle_deg": 3}),
+             r"loads\[0\].s_z: complex parts must be finite numbers$"),
+            (lambda d: d["loads"][0].update(s_i={"mag": 1, "angle_deg": True}),
+             r"loads\[0\].s_i: complex parts must be finite numbers$"),
+            (lambda d: d.update(options={"v_base": True}),
+             "options.v_base: expected a number$"),
+            (lambda d: d.update(options={"v_base": "400"}),
+             "options.v_base: expected a number$"),
+            (lambda d: d.update(options={"s_base": False}),
+             "options.s_base: expected a number$"),
         ],
     )
     def test_non_finite_number_names_field(self, edit, field):
@@ -117,6 +141,19 @@ class TestParseFeeder:
         edit(doc)
         with pytest.raises(ParseError, match=field):
             parse_feeder(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "options", [{"v_base": True}, {"s_base": "1e5"}]
+    )
+    def test_option_base_of_another_type_exits_1(
+        self, options, tmp_path, capsys
+    ):
+        doc = json.loads(MINIMAL)
+        doc["options"] = options
+        path = tmp_path / "feeder.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 1
+        assert "expected a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [True, 3.0])
     def test_phase_count_must_be_an_integer(self, value):
@@ -271,3 +308,402 @@ def test_physical_units_scale_consistently():
     ):
         ratio = solver(phys).voltages / solver(pu).voltages
         assert np.allclose(ratio, v_b, rtol=1e-10)
+
+
+# The parser must give the same feeders and the same first error as the
+# scalar parser it replaced. The expected values below were captured from
+# that parser: a feeder by the SHA-256 of its repr (exact to the last bit of
+# every float), an error by its type and full text.
+
+DATA = Path(radialflow.__file__).parent / "data"
+
+
+SOURCES = (
+    "two_bus", "balanced_ten_bus", "unbalanced_ten_bus", "gen-1ph-n40",
+    "gen-3ph-n30", "timeseries-base", "shuffled-1ph", "shuffled-3ph",
+)
+
+
+@functools.cache
+def _source_texts() -> dict[str, str]:
+    """The documents of SOURCES: the bundled feeders, benchmark-generated
+    ones and shuffled random ones with an explicit ``nodes`` list."""
+    gen = perfbench_gen()
+    rng = np.random.default_rng(808)
+    docs = {
+        name: json.loads((DATA / f"{name}.json").read_text())
+        for name in SOURCES[:3]
+    }
+    docs["gen-1ph-n40"] = gen.feeder_doc(17, 40, 1, 0.92)
+    docs["gen-3ph-n30"] = gen.feeder_doc(17, 30, 3, 0.92)
+    docs["timeseries-base"] = gen.feeder_doc(
+        [0, 2], 150, 3, 0.93, slack_voltage=1.02, name="timeseries"
+    )
+    for label, feeder in (
+        ("shuffled-1ph", random_radial_feeder(rng, 25, profile="zip")),
+        ("shuffled-3ph", random_radial_feeder(
+            rng, 20, 3, profile="zip", delta_fraction=0.4)),
+    ):
+        docs[label] = json.loads(serialize_feeder(shuffled(rng, feeder)))
+    return {name: json.dumps(docs[name]) for name in SOURCES}
+
+
+def _source_doc(name: str) -> dict:
+    return json.loads(_source_texts()[name])
+
+
+def _complex_slots(doc: dict):
+    """(container, key) of every complex value in a feeder document."""
+    yield doc["slack"], "voltage"
+    for branch in doc["branches"]:
+        if isinstance(branch["impedance"], list):
+            yield from ((branch["impedance"], i) for i in range(9))
+        else:
+            yield branch, "impedance"
+    for load in doc["loads"]:
+        yield from ((load, key) for key in ("s_z", "s_i", "s_p") if key in load)
+
+
+def _polar(value: dict) -> dict:
+    z = complex(value["re"], value["im"])
+    return {"mag": abs(z), "angle_deg": math.degrees(math.atan2(z.imag, z.real))}
+
+
+def _bare(value: dict):
+    if value["im"] == 0:
+        return value["re"]
+    return {"im": value["im"]} if value["re"] == 0 else value
+
+
+_FORMS = {
+    "polar": lambda k, value: _polar(value),
+    "bare": lambda k, value: _bare(value),
+    # Every third value polar, every third bare: the array pass meets a
+    # form it does not take part-way through each section.
+    "mixed": lambda k, value: (value, _polar(value), _bare(value))[k % 3],
+}
+
+
+def _rewritten(doc: dict, form: str) -> dict:
+    for k, (container, key) in enumerate(_complex_slots(doc)):
+        container[key] = _FORMS[form](k, container[key])
+    return doc
+
+
+def _parse_docs() -> dict[str, str]:
+    texts = {}
+    for name, text in _source_texts().items():
+        texts[name] = text
+        for form in _FORMS:
+            texts[f"{name}/{form}"] = json.dumps(
+                _rewritten(json.loads(text), form)
+            )
+    near = json.loads(texts["unbalanced_ten_bus"])
+    near["branches"][4]["impedance"][1]["re"] += 5e-13
+    texts["unbalanced_ten_bus/asymmetry-within-tolerance"] = json.dumps(near)
+    return texts
+
+
+EXPECTED_FEEDERS: dict[str, str] = {
+    "balanced_ten_bus":
+        "9151f0aba31b1f81e00c5cc349ddd5084172e19daf8ee5c9bc6a70eeca146661",
+    "balanced_ten_bus/bare":
+        "9151f0aba31b1f81e00c5cc349ddd5084172e19daf8ee5c9bc6a70eeca146661",
+    "balanced_ten_bus/mixed":
+        "430bdf2abb084acca9ee8f7ac972004ad3473bd4c214963fb7fb9e41d9c1a23b",
+    "balanced_ten_bus/polar":
+        "9ee51b91cf03792d5d17059d2b9604d96f7acc74c9e9992775231893799e304c",
+    "gen-1ph-n40":
+        "6516a86e2642d988716609aba8c4e5a74e9d8473cf8f1f2581813627c7ccd193",
+    "gen-1ph-n40/bare":
+        "6516a86e2642d988716609aba8c4e5a74e9d8473cf8f1f2581813627c7ccd193",
+    "gen-1ph-n40/mixed":
+        "89c015358ebcfef72afd2ba419979879328c24d3883e74f1c0471cfe45eb90eb",
+    "gen-1ph-n40/polar":
+        "874b00454562d5f5eb8e709ac10e07807576bf20302587d8f2b8e8c59991acd1",
+    "gen-3ph-n30":
+        "feb5a729bdd2a55c0b71d45fa14c6f9200e5040bc7da05c80ee9a6fb57ec68d3",
+    "gen-3ph-n30/bare":
+        "feb5a729bdd2a55c0b71d45fa14c6f9200e5040bc7da05c80ee9a6fb57ec68d3",
+    "gen-3ph-n30/mixed":
+        "56add7e112edea672c8e26f924d1f7ae254d6df2ebe86a36bf3b006c71993f98",
+    "gen-3ph-n30/polar":
+        "74a9764c64cceaf023e69b19204db578025db2939b2d0ac45700820ffa4a8442",
+    "shuffled-1ph":
+        "f74cf26c5261df90e3ea541efbf2ac5852d451e44bb7d2b5c7b8f01912218364",
+    "shuffled-1ph/bare":
+        "f74cf26c5261df90e3ea541efbf2ac5852d451e44bb7d2b5c7b8f01912218364",
+    "shuffled-1ph/mixed":
+        "ed7d75d8a77aaa26d414a0a251f8b4b4c28cb38af791210cd3bcda5a870a276e",
+    "shuffled-1ph/polar":
+        "259b1ea9015cf5fade3b0751deec33f83ad32fb8e5fcaa3bb3c8a988824aadd4",
+    "shuffled-3ph":
+        "c0f92f81acc198908d9d74429b845b973f38f635aae95941f4f2feb0b82398df",
+    "shuffled-3ph/bare":
+        "c0f92f81acc198908d9d74429b845b973f38f635aae95941f4f2feb0b82398df",
+    "shuffled-3ph/mixed":
+        "dc8ad3706650691a93234653271b1a739dbfd6e33a1d48795253672c898216f8",
+    "shuffled-3ph/polar":
+        "992c84bc85a978606c143c38e2a59c28193dfe2adf3c14713dbe45321f9fcaaa",
+    "timeseries-base":
+        "f28afbfc6591bd4406524bb364f389afb53be8e8d9afdfdc5ba0e44b7529b447",
+    "timeseries-base/bare":
+        "f28afbfc6591bd4406524bb364f389afb53be8e8d9afdfdc5ba0e44b7529b447",
+    "timeseries-base/mixed":
+        "fdaf502747e4f974278f6684b73d5b442f4cf89c004ffee77bf2f056a02a888f",
+    "timeseries-base/polar":
+        "db72996215701b60190853f5afe0bc65cf5f2160eeadb1870646669b25972e9a",
+    "two_bus":
+        "4dfd0cfe3696f883d7f2d603da0645e1ead7ce592bcdc185fafaf68022fc60bf",
+    "two_bus/bare":
+        "4dfd0cfe3696f883d7f2d603da0645e1ead7ce592bcdc185fafaf68022fc60bf",
+    "two_bus/mixed":
+        "0cfefd34bd961b1356a2c727c26c4663135bf277e6a96b6fd566fc4d90525f44",
+    "two_bus/polar":
+        "0cfefd34bd961b1356a2c727c26c4663135bf277e6a96b6fd566fc4d90525f44",
+    "unbalanced_ten_bus":
+        "5d65b676a1529c5458c210ceae9884e128246d370ba4819bb9f835d56a69a991",
+    "unbalanced_ten_bus/asymmetry-within-tolerance":
+        "45d3bb294981b48d55e31dedbc304ff3be5ef8c8b18b0bddd58fde2de50a4d2d",
+    "unbalanced_ten_bus/bare":
+        "5d65b676a1529c5458c210ceae9884e128246d370ba4819bb9f835d56a69a991",
+    "unbalanced_ten_bus/mixed":
+        "13106e7f3d6f20f1e13ad5a2a209689765ea9c004e63ee873b36896f57859b2c",
+    "unbalanced_ten_bus/polar":
+        "0c4e64bdf6d37d829ad01539a7045e16b29377424d721709c0fca0254de5b49e",
+}
+
+
+def _corrupt(base: str, *edits) -> str:
+    doc = _source_doc(base)
+    for edit in edits:
+        edit(doc)
+    return json.dumps(doc)
+
+
+def _set(path, value):
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+    return edit
+
+
+_NAN = {"re": math.nan, "im": 0.01}
+_SCALAR = {"re": 0.01, "im": 0.02}
+
+BAD_DOCS = {
+    "nan-then-missing-to": ("gen-3ph-n30", _set(
+        ("branches", 3, "impedance", 4), _NAN), _drop(("branches", 7, "to"))),
+    "missing-to-then-nan": ("gen-3ph-n30", _drop(("branches", 3, "to")), _set(
+        ("branches", 7, "impedance", 0), _NAN)),
+    "asymmetric-then-nan-load": ("unbalanced_ten_bus", _set(
+        ("branches", 2, "impedance", 1), {"re": 0.5, "im": 0.0}), _set(
+        ("loads", 0, "s_p"), _NAN)),
+    "eight-entries-then-nan": ("gen-3ph-n30", lambda d: d["branches"][5][
+        "impedance"].pop(), _set(("branches", 9, "impedance", 2), _NAN)),
+    "load-list-then-nan": ("gen-3ph-n30", _set(("loads", 2, "s_p"), [
+        0.1, 0.2]), _set(("loads", 4, "s_z"), _NAN)),
+    "load-string-then-nan": ("gen-3ph-n30", _set(("loads", 2, "s_p"), "0.1"),
+                             _set(("loads", 4, "s_z"), _NAN)),
+    "scalar-3ph-impedance-then-nan-load": ("gen-3ph-n30", _set(
+        ("branches", 1, "impedance"), _SCALAR), _set(("loads", 0, "s_i"), _NAN)),
+    "scalar-3ph-impedance": ("gen-3ph-n30", _set(
+        ("branches", 1, "impedance"), _SCALAR)),
+    "matrix-1ph-impedance": ("gen-1ph-n40", _set(
+        ("branches", 4, "impedance"), [_SCALAR] * 9)),
+    "self-loop-then-nan": ("gen-1ph-n40", lambda d: d["branches"][2].update(
+        to=d["branches"][2]["from"]), _set(("branches", 5, "impedance"), _NAN)),
+    "bad-phase-then-nan": ("gen-3ph-n30", _set(("loads", 1, "phase"), "d"),
+                           _set(("loads", 3, "s_p"), _NAN)),
+    "nan-and-bad-phase-in-one-load": ("gen-3ph-n30", _set(
+        ("loads", 1, "phase"), "d"), _set(("loads", 1, "s_z"), _NAN)),
+    "unknown-load-node-then-nan": ("gen-1ph-n40", _set(
+        ("loads", 1, "node"), "zz"), _set(("loads", 4, "s_p"), _NAN)),
+    "load-at-slack": ("gen-1ph-n40", _set(("loads", 3, "node"), "n0")),
+    "huge-integer": ("gen-3ph-n30", _set(
+        ("branches", 2, "impedance", 0, "re"), 10**400)),
+    "inf-then-missing-from": ("gen-1ph-n40", _set(
+        ("branches", 10, "impedance", "im"), math.inf), _drop(
+        ("branches", 12, "from"))),
+    "branch-not-object": ("gen-1ph-n40", _set(("branches", 6), 5)),
+    "missing-impedance": ("gen-3ph-n30", _drop(("branches", 4, "impedance"))),
+    "entry-not-object": ("gen-3ph-n30", _set(
+        ("branches", 2, "impedance", 3), "x")),
+    "entry-without-parts": ("gen-3ph-n30", _set(
+        ("branches", 2, "impedance", 3), {"foo": 1})),
+    "load-not-object": ("gen-3ph-n30", _set(("loads", 3), [1])),
+    "delta-load-1ph": ("gen-1ph-n40", _set(("loads", 0, "connection"), "delta")),
+    "nan-load-then-nan-option": ("gen-1ph-n40", _set(
+        ("loads", 5, "s_i"), _NAN), _set(("options",), {"v_base": math.nan})),
+    "cycle": ("gen-1ph-n40", _set(("branches", 10, "to"), "n4")),
+    "duplicate-node": ("shuffled-3ph", lambda d: d["nodes"].append(d["nodes"][3])),
+}
+
+EXPECTED_ERRORS: dict[str, tuple[str, str]] = {
+    "asymmetric-then-nan-load": (
+        "ParseError",
+        "branches[2]: branch b3: impedance matrix is not symmetric",
+    ),
+    "bad-phase-then-nan": (
+        "ParseError",
+        "loads[1]: unknown phase 'd'",
+    ),
+    "branch-not-object": (
+        "ParseError",
+        "branches[6]: expected an object",
+    ),
+    "cycle": (
+        "RadialityError",
+        "cycle detected through branch b11 (n10-n4); disconnected from slack: n11, n12, n15, n16, n17, n18, n19, n20, n21, n37, n38",
+    ),
+    "delta-load-1ph": (
+        "ParseError",
+        "delta load at node n2 requires three-phase mode",
+    ),
+    "duplicate-node": (
+        "RadialityError",
+        "duplicate node id 8",
+    ),
+    "eight-entries-then-nan": (
+        "ParseError",
+        "branches[5].impedance: matrix impedance needs nine row-major entries",
+    ),
+    "entry-not-object": (
+        "ParseError",
+        "branches[2].impedance[3]: expected a complex value object",
+    ),
+    "entry-without-parts": (
+        "ParseError",
+        "branches[2].impedance[3]: complex value needs re/im or mag/angle_deg",
+    ),
+    "huge-integer": (
+        "ParseError",
+        "branches[2].impedance[0]: complex parts must be finite numbers",
+    ),
+    "inf-then-missing-from": (
+        "ParseError",
+        "branches[10].impedance: complex parts must be finite numbers, got {'re': 0.00396670532, 'im': inf}",
+    ),
+    "load-at-slack": (
+        "ParseError",
+        "loads[3]: loads at the slack node are not modeled",
+    ),
+    "load-list-then-nan": (
+        "ParseError",
+        "loads[2].s_p: expected a complex value object",
+    ),
+    "load-not-object": (
+        "ParseError",
+        "loads[3]: expected an object",
+    ),
+    "load-string-then-nan": (
+        "ParseError",
+        "loads[2].s_p: expected a complex value object",
+    ),
+    "matrix-1ph-impedance": (
+        "ParseError",
+        "branch b5: single-phase feeders need scalar impedances",
+    ),
+    "missing-impedance": (
+        "ParseError",
+        "branches[4]: missing required field 'impedance'",
+    ),
+    "missing-to-then-nan": (
+        "ParseError",
+        "branches[3]: missing required field 'to'",
+    ),
+    "nan-and-bad-phase-in-one-load": (
+        "ParseError",
+        "loads[1].s_z: complex parts must be finite numbers, got {'re': nan, 'im': 0.01}",
+    ),
+    "nan-load-then-nan-option": (
+        "ParseError",
+        "loads[5].s_i: complex parts must be finite numbers, got {'re': nan, 'im': 0.01}",
+    ),
+    "nan-then-missing-to": (
+        "ParseError",
+        "branches[3].impedance[4]: complex parts must be finite numbers, got {'re': nan, 'im': 0.01}",
+    ),
+    "scalar-3ph-impedance": (
+        "ParseError",
+        "branch b2: three-phase feeders need 3x3 impedance matrices",
+    ),
+    "scalar-3ph-impedance-then-nan-load": (
+        "ParseError",
+        "loads[0].s_i: complex parts must be finite numbers, got {'re': nan, 'im': 0.01}",
+    ),
+    "self-loop-then-nan": (
+        "ParseError",
+        "branches[2]: branch b3 connects node n2 to itself",
+    ),
+    "unknown-load-node-then-nan": (
+        "ParseError",
+        "loads[1]: unknown node zz",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_FEEDERS))
+def test_parse_gives_the_same_feeder(name, parse_docs):
+    feeder = parse_feeder(parse_docs[name])
+    assert hashlib.sha256(repr(feeder).encode()).hexdigest() == (
+        EXPECTED_FEEDERS[name]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_ERRORS))
+def test_parse_names_the_same_first_error(name):
+    with pytest.raises(Exception) as info:
+        parse_feeder(_corrupt(*BAD_DOCS[name]))
+    assert (type(info.value).__name__, str(info.value)) == EXPECTED_ERRORS[name]
+
+
+def test_every_document_has_an_expected_value(parse_docs):
+    assert sorted(EXPECTED_FEEDERS) == sorted(parse_docs)
+    assert sorted(EXPECTED_ERRORS) == sorted(BAD_DOCS)
+
+
+@pytest.fixture(scope="module")
+def parse_docs():
+    return _parse_docs()
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_parse_walks_the_tree_once(name, monkeypatch):
+    calls = {"validate_radial": 0, "tree_structure": 0}
+    for fname in calls:
+        original = getattr(network, fname)
+
+        def counted(*args, _fname=fname, _original=original):
+            calls[_fname] += 1
+            return _original(*args)
+
+        # Every alias, as the package modules import each other's functions.
+        for module in (radialflow, network, radialflow.io):
+            if getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, counted)
+    feeder = parse_feeder(_source_texts()[name])
+    tree = feeder.tree
+    solve(feeder, "linear-simple")
+    assert calls == {"validate_radial": 1, "tree_structure": 1}
+    monkeypatch.undo()
+
+    fresh = network.tree_structure(feeder)
+    assert tree.order == fresh.order
+    assert tree.parent == fresh.parent
+    assert tree.children == fresh.children
+    assert tree.branches == fresh.branches
+    assert tree.ends.dtype == fresh.ends.dtype
+    assert np.array_equal(tree.ends, fresh.ends)
+    assert tree.levels == fresh.levels

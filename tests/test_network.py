@@ -1,8 +1,7 @@
-import importlib.util
 import itertools
 import math
 import tracemalloc
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +18,12 @@ from radialflow import (
     validate_radial,
     ybus,
 )
+from radialflow.network import impedance_blocks
 from helpers import (
     brute_force_reduced_impedance,
     chain_feeder,
     dense_ybus,
+    perfbench_gen,
     random_radial_feeder,
     shuffled,
     two_bus_feeder,
@@ -277,7 +278,7 @@ class TestYbus:
     def test_peak_memory_is_about_the_output(self, n, phase_count):
         # The scatter allocates nothing else of the output's size; the dense
         # product A^T C A peaks at about four times it.
-        gen = _perfbench_gen()
+        gen = perfbench_gen()
         doc = gen.feeder_doc(17, n, phase_count, 0.92)
         feeder = parse_feeder(gen.dumps(doc))
         inc = build_incidence(feeder)
@@ -288,15 +289,6 @@ class TestYbus:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * y.nbytes
-
-
-def _perfbench_gen():
-    """The benchmark's seeded feeder generator, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_branch_flow_reconstruction():
@@ -352,6 +344,32 @@ class TestFeederConstruction:
     @pytest.mark.parametrize(
         "impedance",
         [
+            ((0.01j, 0.0), (0.0, 0.01j)),
+            ((0.01j, 0, 0), (0, 0.01j, 0), (0, 0, 0.01j, 0)),
+            ((0.01j, 0, 0), (0, 0.01j, 0)),
+            (0.01j, 0.01j, 0.01j),
+        ],
+    )
+    def test_matrix_must_be_three_by_three(self, impedance):
+        with pytest.raises(ValueError, match="b1: matrix impedance must be 3x3"):
+            Branch("b1", "1", "2", impedance)
+
+    @pytest.mark.parametrize("spread, symmetric", [(5e-13, True), (2e-12, False)])
+    @pytest.mark.parametrize("row, col", [(1, 0), (2, 0), (1, 2)])
+    def test_symmetry_tolerance(self, row, col, spread, symmetric):
+        rows = [[0.01 + 0.02j if i == j else 0.003j for j in range(3)]
+                for i in range(3)]
+        rows[row][col] += spread
+        impedance = tuple(map(tuple, rows))
+        if symmetric:
+            assert Branch("b1", "1", "2", impedance).impedance == impedance
+        else:
+            with pytest.raises(ValueError, match="b1: impedance matrix is not"):
+                Branch("b1", "1", "2", impedance)
+
+    @pytest.mark.parametrize(
+        "impedance",
+        [
             complex(math.nan, 0.01),
             complex(0.01, math.inf),
             tuple(
@@ -398,6 +416,30 @@ class TestFeederConstruction:
                 branches=(Branch("b1", "1", "2", 0.01 + 0.01j),),
                 loads=(ZipLoad(node="2", s_p=0.1, connection="delta"),),
             )
+
+
+class TestImpedanceStack:
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_read_only_stack_in_incidence_row_order(self, phase_count):
+        rng = np.random.default_rng(41)
+        feeder = shuffled(rng, random_radial_feeder(rng, 15, phase_count))
+        stack = feeder.impedances
+        assert stack.shape == (14, phase_count, phase_count)
+        assert not stack.flags.writeable
+        for block, branch in zip(stack, feeder.tree.branches):
+            expected = np.reshape(branch.impedance, (phase_count,) * 2)
+            assert np.array_equal(block, expected)
+        assert impedance_blocks(feeder) is stack
+
+    @pytest.mark.parametrize("n, phase_count", [(40, 1), (30, 3)])
+    def test_parse_hands_over_the_stack_it_read(self, n, phase_count):
+        gen = perfbench_gen()
+        feeder = parse_feeder(gen.dumps(gen.feeder_doc(5, n, phase_count, 0.95)))
+        handed = vars(feeder)["impedances"]
+        assert not handed.flags.writeable
+        rebuilt = replace(feeder).impedances
+        assert handed.dtype == rebuilt.dtype
+        assert np.array_equal(handed, rebuilt)
 
 
 def test_single_node_feeder_is_trivial():
