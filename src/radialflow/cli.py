@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import sys
 from typing import Any
 
@@ -40,6 +41,8 @@ def _read_feeder(path: str) -> Feeder:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     return fio.parse_feeder(text)
 
 
@@ -64,10 +67,41 @@ def _v0(text: str) -> complex:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """``--tolerance`` value: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"needs a finite positive number, got {text!r}"
+        )
+    return value
+
+
+def _iterations(text: str) -> int:
+    """``--max-iterations`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"needs an integer of at least 1, got {text!r}"
+        )
+    return value
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+        except OSError as exc:
+            raise ParseError(
+                f"cannot write {args.output}: {exc.strerror}"
+            ) from exc
     else:
         sys.stdout.write(text)
 
@@ -221,12 +255,13 @@ def _parser() -> argparse.ArgumentParser:
         )
         if bfs_opts:
             p.add_argument(
-                "--tolerance", type=float, default=1e-8,
-                help="BFS convergence tolerance (default 1e-8)",
+                "--tolerance", type=_tolerance, default=1e-8,
+                help="BFS convergence tolerance, finite and positive "
+                "(default 1e-8)",
             )
             p.add_argument(
-                "--max-iterations", type=int, default=100,
-                help="BFS iteration budget (default 100)",
+                "--max-iterations", type=_iterations, default=100,
+                help="BFS iteration budget, at least 1 (default 100)",
             )
 
     p_validate = sub.add_parser("validate", help="check feeder radiality")

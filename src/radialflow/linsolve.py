@@ -127,23 +127,26 @@ def _per_unknown(values, feeder: Feeder) -> np.ndarray:
 
 def _system_parts(feeder: Feeder):
     """Shared pieces of both solver modes for the non-slack unknowns."""
-    red = reduced_impedance(None, feeder)
     h = feeder.h
+    # First, so that the load table cached on first use is not allocated
+    # between (np)^2 arrays, where it would keep the heap they free above
+    # it from returning to the system.
     s_z, s_i, s_p = load_vectors(feeder)
+    red = reduced_impedance(None, feeder)
     cut = feeder.phase_count  # drop the slack slots
     s_z, s_i, s_p = s_z[cut:], s_i[cut:], s_p[cut:]
     rho = _per_unknown(PHASE_ROTATIONS[: feeder.phase_count], feeder)
     a_vec = _per_unknown(feeder.slack_phasors(), feeder)
     d = red.d
     size = d.shape[0]
-    # An overflowing h * h must give non-finite voltages, not numpy warnings.
-    # I + h^2 D diag(conj s_z), built in one (np)^2 array.
-    with np.errstate(all="ignore"):
-        sys_a = d * np.conjugate(s_z)[np.newaxis, :]
-        sys_a *= h * h
-        sys_a.flat[:: size + 1] += 1.0
     p_base = d @ (np.conjugate(s_p) * rho)
     i_base = d @ (np.conjugate(s_i) * rho)
+    # An overflowing h * h must give non-finite voltages, not numpy warnings.
+    # I + h^2 D diag(conj s_z), built in D's own (np)^2 array.
+    with np.errstate(all="ignore"):
+        sys_a = np.multiply(d, np.conjugate(s_z)[np.newaxis, :], out=d)
+        sys_a *= h * h
+        sys_a.flat[:: size + 1] += 1.0
     return sys_a, p_base, i_base, rho, a_vec
 
 

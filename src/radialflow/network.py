@@ -5,9 +5,11 @@ oriented incidence matrix A (one row per branch, +1 at the from node, -1 at
 the to node) links branch drops to node voltages, and its slack/non-slack
 split (A_S, A_M) yields the reduced impedance matrix
 D = A_M^-1 Z A_M^-T, the inverse of the slack-reduced bus admittance. Row k
-of A_M is the branch feeding node k + 1, so applying A_M^-1 is a forward
-substitution down the tree, one depth level at a time, in any node order.
-The bus admittance Y = A^T C A is scattered from the per-branch admittance
+of A_M is the branch feeding node k + 1: A_M = S U, S the orientations
+(+-1), U unsigned, and S Z S = Z as Z is block diagonal. So D = U^-1 Z U^-T,
+where U^-1 sums down each node's path from the slack (``path_sums``) and
+U^-T over its subtree (``subtree_sums``), in place, a level at a time. The
+bus admittance Y = A^T C A is scattered from the per-branch admittance
 blocks, without forming A or any dense product.
 """
 
@@ -213,17 +215,32 @@ class ReducedImpedance:
 class TreeInfo:
     """Rooted-tree structure of a radial feeder, in positions of
     ``feeder.nodes``: the walk order from the slack, each node's parent
-    (-1 for the slack) and children, and the branch feeding node k + 1,
-    which is incidence row k, with the from/to positions of its stored
-    orientation in ``ends`` (shape (m, 2)). Depth d of the walk is
+    (-1 for the slack), and the branch feeding node k + 1, which is
+    incidence row k, with the from/to positions of its stored orientation
+    in ``ends`` (shape (m, 2)). Depth d of the walk is
     ``order[levels[d]:levels[d + 1]]``; the slack alone is depth 0."""
 
     order: tuple[int, ...]
     parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
     branches: tuple[Branch, ...]
     ends: np.ndarray
     levels: tuple[int, ...]
+
+    @cached_property
+    def schedule(self) -> tuple:
+        """The walk in incidence rows (node k is row k - 1): per depth level
+        from 1, its rows (a slice, so a view, when the nodes are listed in
+        walk order, as parsed feeders are) and its parents' rows (None for
+        the slack's children)."""
+        rows = np.asarray(self.order[1:], dtype=np.intp) - 1
+        parents = np.asarray(self.parent, dtype=np.intp)[rows + 1] - 1
+        in_walk_order = self.order == tuple(range(len(self.order)))
+        cuts = [cut - 1 for cut in self.levels[1:]]
+        return tuple(
+            (level if in_walk_order else rows[level],
+             parents[level] if level.start else None)
+            for level in map(slice, cuts[:-1], cuts[1:])
+        )
 
 
 def validate_radial(feeder: Feeder) -> ValidationReport:
@@ -279,7 +296,7 @@ def validate_radial(feeder: Feeder) -> ValidationReport:
 
 
 def tree_structure(feeder: Feeder) -> TreeInfo:
-    """Walk order and parent/child positions, rooted at the slack.
+    """Walk order and parent positions, rooted at the slack.
 
     Children are visited in branch declaration order, which makes the order
     deterministic for a given feeder.
@@ -296,7 +313,6 @@ def tree_structure(feeder: Feeder) -> TreeInfo:
     parent = [-1] * n
     levels = [0, 1]
     feeding: list[Branch | None] = [None] * n
-    children: list[list[int]] = [[] for _ in range(n)]
     frontier = 0
     while frontier < len(order):
         if frontier == levels[-1]:  # this depth is all queued: next starts
@@ -308,7 +324,6 @@ def tree_structure(feeder: Feeder) -> TreeInfo:
                 continue
             parent[neighbor] = node
             feeding[neighbor] = branch
-            children[node].append(neighbor)
             order.append(neighbor)
     branches = tuple(feeding[1:])
     ends = np.array(
@@ -318,7 +333,6 @@ def tree_structure(feeder: Feeder) -> TreeInfo:
     return TreeInfo(
         order=tuple(order),
         parent=tuple(parent),
-        children=tuple(tuple(c) for c in children),
         branches=branches,
         ends=ends,
         levels=tuple(levels),
@@ -347,15 +361,11 @@ def in_walk_order(
     rows = order[1:] - 1
     parent = np.asarray(tree.parent, dtype=np.intp)[order]
     parent[1:] = walk[parent[1:]]
-    position = walk.tolist().__getitem__
     branches = tuple(tree.branches[row] for row in rows.tolist())
     # Seeding the instance dict is what a cached_property's first use does.
     ordered.__dict__["tree"] = TreeInfo(
         order=tuple(range(order.size)),
         parent=tuple(parent.tolist()),
-        children=tuple(
-            [tuple(map(position, tree.children[k])) for k in tree.order]
-        ),
         branches=branches,
         ends=walk[tree.ends[rows]],
         levels=tree.levels,
@@ -428,29 +438,24 @@ def branch_impedance_matrix(
     return _block_diagonal(impedance_blocks(feeder))
 
 
-def _forward_substitute(tree: TreeInfo, b: np.ndarray) -> np.ndarray:
-    """Solve kron(A_M, I_p) X = B, B holding one block of rows per
-    non-slack node.
+def path_sums(tree: TreeInfo, root, steps: np.ndarray) -> np.ndarray:
+    """Down the tree, in place: row k - 1 of ``steps`` (the branch feeding
+    node k) becomes ``root`` plus the steps on node k's path from the
+    slack, x[k] = x[parent] + steps[k - 1] with x[slack] = root. Returns
+    ``steps``; each depth level is one numpy step."""
+    for rows, parents in tree.schedule:
+        steps[rows] += root if parents is None else steps[parents]
+    return steps
 
-    Row k of A_M holds the orientation s_k = +-1 at node k + 1 and -s_k at
-    its parent, so X[k] = s_k B[k] + X[parent], with the slack's X zero.
-    That is a triangular solve's arithmetic with the zeros skipped. The
-    rows are taken in walk order, so each depth level is one slice and one
-    numpy statement.
-    """
-    order = np.asarray(tree.order, dtype=np.intp)
-    walk = np.empty_like(order)
-    walk[order] = np.arange(order.size)
-    up = walk[np.asarray(tree.parent, dtype=np.intp)[order]]
-    rows = order[1:] - 1
-    sign = np.where(tree.ends[rows, 0] == order[1:], 1.0, -1.0)
-    blocks = b.reshape(rows.size, -1, b.shape[1])
-    x = np.empty((order.size, *blocks.shape[1:]), dtype=np.complex128)
-    x[0] = 0.0
-    np.multiply(sign[:, None, None], blocks.take(rows, axis=0), out=x[1:])
-    for lo, hi in zip(tree.levels[1:], tree.levels[2:]):
-        x[lo:hi] += x.take(up[lo:hi], axis=0)
-    return x.take(walk[1:], axis=0).reshape(b.shape)
+
+def subtree_sums(tree: TreeInfo, values: np.ndarray) -> np.ndarray:
+    """Up the tree, in place: row k - 1 of ``values`` (node k) becomes the
+    sum of ``values`` over node k's subtree. Returns ``values``; deepest
+    level first, one ``np.add.at`` per level adds it into the parents,
+    siblings one after another in walk order."""
+    for rows, parents in reversed(tree.schedule[1:]):
+        np.add.at(values, parents, values[rows])
+    return values
 
 
 def reduced_impedance(
@@ -458,21 +463,19 @@ def reduced_impedance(
 ) -> ReducedImpedance:
     """Compute D = A_M^-1 Z A_M^-T.
 
-    Two forward substitutions down the tree: A_M^-1 Z, then A_M^-1 applied
-    to its transpose, in O(n^2) for any node order. The matrix is never
-    inverted explicitly. A_M is read from ``feeder.tree``, so ``inc`` is
-    unused and may be None.
+    A_M = S U with S the branch orientations, and S Z S = Z as Z is block
+    diagonal and each s_k^2 = 1: D = U^-1 Z U^-T, two ``path_sums`` with
+    no sign applied, in O(n^2) for any node order. Both run in place on
+    the block-diagonal Z, on its rows and then on its columns, so D is
+    the only (np)^2 array and is never inverted explicitly. U is read
+    from ``feeder.tree``, so ``inc`` is unused and may be None.
     """
-    z = branch_impedance_matrix(inc, feeder)
-    if z.shape[0] == 0:
-        return ReducedImpedance(d=np.zeros((0, 0), dtype=np.complex128))
-    half = _forward_substitute(feeder.tree, z)
-    # The transposed view needs no copy: the substitution's first gather
-    # reads it into walk order anyway.
-    d = _forward_substitute(feeder.tree, half.T).T
-    # C order, as the voltages' matrix products round differently on an
-    # F-ordered D.
-    return ReducedImpedance(d=np.ascontiguousarray(d))
+    m, p = len(feeder.tree.branches), feeder.phase_count
+    x = branch_impedance_matrix(inc, feeder)
+    # Rows of x, then rows of x^T: x = U^-1 Z, then x^T = U^-1 (U^-1 Z)^T.
+    path_sums(feeder.tree, 0.0, x.reshape(m, p, m * p))
+    path_sums(feeder.tree, 0.0, x.reshape(m * p, m, p).transpose(1, 2, 0))
+    return ReducedImpedance(d=x)
 
 
 def ybus(inc: IncidenceModel, feeder: Feeder) -> np.ndarray:

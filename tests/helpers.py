@@ -8,12 +8,32 @@ oracle iterates the scalar voltage equation directly.
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+import radialflow
 from radialflow import Branch, Feeder, ZipLoad
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a child process that imports the radialflow
+    package the tests import, whatever the caller's PYTHONPATH."""
+    source = str(Path(radialflow.__file__).resolve().parent.parent)
+    path = [source, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m radialflow.cli *args`` in a child process."""
+    return run_python("-m", "radialflow.cli", *args)
 
 
 def random_tree(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -122,8 +123,9 @@ class TestSolveBfs:
             assert moved.iterations == sol.iterations
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            BfsOptions(tolerance=0.0)
+        for tolerance in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                BfsOptions(tolerance=tolerance)
         with pytest.raises(ValueError):
             BfsOptions(max_iterations=0)
 

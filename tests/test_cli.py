@@ -1,5 +1,4 @@
 import json
-import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -17,7 +16,7 @@ from radialflow import (
 )
 from radialflow.cli import LINEAR_METHODS, main
 from radialflow.io import serialize_feeder
-from helpers import two_bus_feeder
+from helpers import run_cli, run_python, two_bus_feeder
 
 VALID = serialize_feeder(radialflow.example_feeder("two_bus"))
 
@@ -81,11 +80,8 @@ class TestExitCodes:
         doc["options"]["v_base"] = 1e-300
         path = tmp_path / "tiny_base.json"
         path.write_text(json.dumps(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "radialflow.cli", "solve", str(path),
-             "--format", "csv", "--method", method],
-            capture_output=True,
-            text=True,
+        proc = run_cli(
+            "solve", str(path), "--format", "csv", "--method", method
         )
         assert proc.returncode == 3
         assert proc.stdout == ""
@@ -98,11 +94,7 @@ class TestExitCodes:
         doc["nodes"] = 5
         path = tmp_path / "int_nodes.json"
         path.write_text(json.dumps(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "radialflow.cli", "solve", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("solve", str(path))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "nodes: expected a list" in proc.stderr
@@ -132,14 +124,90 @@ class TestExitCodes:
     def test_non_finite_input_is_a_parse_error(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text(VALID.replace('"re": 0.01', '"re": NaN', 1))
-        proc = subprocess.run(
-            [sys.executable, "-m", "radialflow.cli", "solve", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("solve", str(path))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "branches[0].impedance" in proc.stderr
+
+
+class TestUnusableInput:
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iterations", "0"),
+        ("--tolerance", "0"),
+        ("--tolerance", "-1"),
+        ("--tolerance", "inf"),
+        ("--tolerance", "nan"),
+    ])
+    def test_bfs_option_out_of_range_is_a_usage_error(
+        self, valid_file, flag, value
+    ):
+        # Also under linear-simple, which never reads the BFS options.
+        proc = run_cli("solve", valid_file, flag, value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert f"argument {flag}: " in proc.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "metrics"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iterations", "2.5"),
+        ("--max-iterations", "-3"),
+        ("--tolerance", "1e-400"),
+        ("--tolerance", "tiny"),
+    ])
+    def test_every_bfs_command_validates_its_options(
+        self, valid_file, capsys, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, valid_file, flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.fixture
+    def undecodable_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        assert '"two-bus"' in VALID
+        text = VALID.replace('"two-bus"', '"caf\xe9"')
+        path.write_bytes(text.encode("latin-1"))
+        return str(path)
+
+    @pytest.fixture
+    def deep_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        return str(path)
+
+    @pytest.mark.parametrize("fixture, message", [
+        ("undecodable_file", "cannot read {path}: 'utf-8' codec"),
+        ("deep_file", "invalid JSON: "),
+    ], ids=["undecodable", "deep"])
+    def test_unreadable_input_is_a_parse_error(
+        self, request, fixture, message
+    ):
+        path = request.getfixturevalue(fixture)
+        message = message.format(path=path)
+        proc = run_cli("solve", path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"parse error: {message}")
+        assert len(proc.stderr.splitlines()) == 1
+        proc = run_cli("validate", path)
+        assert proc.returncode == 1
+        assert proc.stdout.startswith(f"PARSE ERROR: {message}")
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "metrics"])
+    def test_unwritable_output_is_a_parse_error(
+        self, valid_file, tmp_path, command
+    ):
+        target = tmp_path / "missing" / "out.json"
+        proc = run_cli(command, valid_file, "-o", str(target))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"parse error: cannot write {target}: No such file or directory\n"
+        )
+        assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("command", ["compare", "metrics"])
@@ -279,11 +347,7 @@ class TestMetricsCommand:
 
 
 def test_console_entry_point_runs(valid_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "radialflow.cli", "validate", valid_file],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("validate", valid_file)
     assert proc.returncode == 0
     assert proc.stdout == "OK\n"
 
@@ -299,9 +363,7 @@ def test_cli_imports_no_scipy():
         "loaded = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True
-    )
+    proc = run_python("-c", child)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -18,7 +18,7 @@ from radialflow import (
     validate_radial,
     ybus,
 )
-from radialflow.network import impedance_blocks
+from radialflow.network import impedance_blocks, path_sums, subtree_sums
 from helpers import (
     brute_force_reduced_impedance,
     chain_feeder,
@@ -177,6 +177,37 @@ class TestReducedImpedance:
         with pytest.raises(SingularError):
             reduced_impedance(build_incidence(feeder), feeder)
 
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_branch_orientation_does_not_change_d(self, phase_count):
+        # The orientations cancel in D = A_M^-1 Z A_M^-T: reversing every
+        # branch gives the same matrix to the last bit.
+        rng = np.random.default_rng(70 + phase_count)
+        for _ in range(10):
+            feeder = random_radial_feeder(
+                rng, int(rng.integers(2, 30)), phase_count
+            )
+            reversed_ = replace(feeder, branches=tuple(
+                replace(b, from_node=b.to_node, to_node=b.from_node)
+                for b in feeder.branches
+            ))
+            d = reduced_impedance(None, feeder).d
+            assert np.array_equal(reduced_impedance(None, reversed_).d, d)
+
+    @pytest.mark.parametrize("n, phase_count", [(400, 1), (120, 3)])
+    def test_peak_memory_is_about_the_output(self, n, phase_count):
+        # Both passes run in place on Z, which becomes D.
+        gen = perfbench_gen()
+        doc = gen.feeder_doc(18, n, phase_count, 0.92)
+        feeder = parse_feeder(gen.dumps(doc))
+        tracemalloc.start()
+        try:
+            d = reduced_impedance(None, feeder).d
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.flags.c_contiguous
+        assert peak <= 1.25 * d.nbytes
+
     def test_non_topological_node_order_still_correct(self):
         # Parsing lists parents before children, but directly built
         # feeders may not; the substitution follows the tree, not the
@@ -194,6 +225,75 @@ class TestReducedImpedance:
         expected = brute_force_reduced_impedance(inc.a_m, z)
         red = reduced_impedance(inc, feeder)
         assert np.allclose(red.d, expected, atol=1e-13)
+
+
+def _path_oracle(parent, root, steps):
+    """For node k, row k - 1: root plus the steps of every branch on the
+    node's path from the slack, climbing the parent links node by node."""
+    x = np.empty_like(steps)
+    for k in range(1, len(parent)):
+        x[k - 1] = root
+        node = k
+        while node != 0:
+            x[k - 1] += steps[node - 1]
+            node = parent[node]
+    return x
+
+
+def _subtree_oracle(parent, values):
+    """For node k, row k - 1: each non-slack node's value added to its own
+    row and to the rows of its non-slack ancestors."""
+    x = np.zeros_like(values)
+    for k in range(1, len(parent)):
+        node = k
+        while node != 0:
+            x[node - 1] += values[k - 1]
+            node = parent[node]
+    return x
+
+
+def _integer_valued(rng, shape):
+    # Small integers add exactly in any order, so the kernels must match
+    # the oracles bit for bit.
+    return rng.integers(-9, 10, shape) + 1j * rng.integers(-9, 10, shape)
+
+
+class TestTreeKernels:
+    def _feeders(self, phase_count):
+        rng = np.random.default_rng(90 + phase_count)
+        for _ in range(12):
+            feeder = random_radial_feeder(
+                rng, int(rng.integers(2, 40)), phase_count
+            )
+            yield feeder
+            yield shuffled(rng, feeder)
+            yield shuffled(rng, feeder, flip=1.0)
+        gen = perfbench_gen()
+        doc = gen.feeder_doc(5, 60, phase_count, 0.93)
+        yield parse_feeder(gen.dumps(doc))
+        yield make_feeder(["1"], [], phase_count)
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_path_sums_match_the_path_oracle(self, phase_count):
+        rng = np.random.default_rng(phase_count)
+        for feeder in self._feeders(phase_count):
+            m, tree = len(feeder.nodes) - 1, feeder.tree
+            for trailing in ((phase_count,), (phase_count, 4)):
+                root = _integer_valued(rng, trailing)
+                steps = _integer_valued(rng, (m, *trailing))
+                expected = _path_oracle(tree.parent, root, steps)
+                assert path_sums(tree, root, steps) is steps
+                assert np.array_equal(steps, expected)
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_subtree_sums_match_the_subtree_oracle(self, phase_count):
+        rng = np.random.default_rng(10 + phase_count)
+        for feeder in self._feeders(phase_count):
+            m, tree = len(feeder.nodes) - 1, feeder.tree
+            values = _integer_valued(rng, (m, phase_count))
+            expected = _subtree_oracle(tree.parent, values)
+            assert subtree_sums(tree, values) is values
+            assert np.array_equal(values, expected)
 
 
 class TestYbus:
