@@ -8,9 +8,10 @@ treated as independent variables) around a chosen linearization point.
 Two solver modes are exposed:
 
 * ``simple``: drops the conjugate-voltage term, leaving one complex linear
-  system per feeder. Constant-impedance and constant-current loads are
-  represented exactly; constant-power loads enter as injections frozen at
-  the nominal rotated voltage.
+  system per feeder, solved by elimination on the feeder tree.
+  Constant-impedance and constant-current loads are represented exactly;
+  constant-power loads enter as injections frozen at the nominal rotated
+  voltage.
 * ``full``: keeps the conjugate term, generalized to an arbitrary
   linearization point, and solves the conjugate-linear system by stacking
   real and imaginary parts. At a slack voltage of 1 p.u. it coincides with
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import SingularError
 from .loads import PHASE_ROTATIONS, load_vectors
-from .network import Feeder, reduced_impedance
+from .network import Feeder, impedance_blocks, path_sums, reduced_impedance
 
 if TYPE_CHECKING:
     from .bfs import BfsOptions
@@ -92,15 +93,16 @@ class Solution:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Assembled linear system for one feeder.
+    """One feeder's simple-mode system, eliminated leaves first.
 
-    ``sys_a`` multiplies the unknown non-slack voltages and ``sys_b`` is the
-    right-hand side; with no loads they reduce to the identity and the
-    nominal voltage vector.
+    ``drops`` has shape (m, p, p + 1). Row k - 1 (node k, the incidence row
+    order) is z_k [A | B] with A and B as in ``assemble``: the voltage drop
+    over the branch feeding node k as an affine function of its parent's
+    voltage, x_k = x_parent - z_k (A x_parent + B). With no loads it is all
+    zero.
     """
 
-    sys_a: np.ndarray
-    sys_b: np.ndarray
+    drops: np.ndarray
     feeder: Feeder
 
 
@@ -126,7 +128,8 @@ def _per_unknown(values, feeder: Feeder) -> np.ndarray:
 
 
 def _system_parts(feeder: Feeder):
-    """Shared pieces of both solver modes for the non-slack unknowns."""
+    """The dense pieces of the linear-full system for the non-slack
+    unknowns: I + h^2 D diag(conj s_z), D conj(s_p) rho, D conj(s_i) rho."""
     h = feeder.h
     # First, so that the load table cached on first use is not allocated
     # between (np)^2 arrays, where it would keep the heap they free above
@@ -151,25 +154,115 @@ def _system_parts(feeder: Feeder):
 
 
 def assemble(feeder: Feeder) -> LinearModel:
-    """Build the linear system for a validated feeder.
+    """Eliminate the linear-simple system of a validated feeder.
 
-    Delta loads are first converted to their wye equivalents at the
-    linearization point. Constant-impedance loads scale the system matrix;
-    constant-power and constant-current loads enter the right-hand side
-    with negative sign (consumption convention).
+    The system is x = v_s - D J, the loads drawing J = C x + w with
+    C = h^2 conj(s_z) and w = h (conj s_p + conj s_i) rho (consumption
+    convention; delta loads through their wye equivalents). On the tree,
+    x_k = x_parent - z_k I_k, where I_k sums J over node k's subtree. So
+    I_k = A_k x_k + B_k, with [A_k | B_k] node k's [C_k | w_k] plus its
+    children's eliminated rows, and substituting x_k eliminates it to
+    I_k = A x_parent + B with [A | B] = (I + A_k z_k)^-1 [A_k | B_k], leaves
+    first, without forming D: one numpy step per depth level on
+    three-phase feeders, and a scalar loop over the nodes on single-phase
+    ones, whose levels hold too few numbers to repay a numpy call.
     """
-    sys_a, p_base, i_base, _, a_vec = _system_parts(feeder)
-    diag = np.diagonal(sys_a)
-    if diag.size and np.min(np.abs(diag)) < DIAGONAL_TOLERANCE:
-        worst = int(np.argmin(np.abs(diag)))
-        raise SingularError(
-            f"system diagonal entry {worst} has magnitude "
-            f"{abs(diag[worst]):.3e}, below {DIAGONAL_TOLERANCE:g}"
-        )
-    # The leading h freezes the constant-power injections at the nominal
-    # magnitude 1/h; it is unity in per-unit analysis.
-    sys_b = a_vec - feeder.h * p_base - feeder.h * i_base
-    return LinearModel(sys_a=sys_a, sys_b=sys_b, feeder=feeder)
+    s_z, s_i, s_p = load_vectors(feeder)
+    z = impedance_blocks(feeder)
+    tree, p, h = feeder.tree, feeder.phase_count, feeder.h
+    m = len(tree.branches)
+    s_z, s_i, s_p = s_z[p:], s_i[p:], s_p[p:]  # drop the slack slots
+    # An overflowing h * h must give non-finite voltages, not numpy warnings.
+    with np.errstate(all="ignore"):
+        # The diagonal of I + h^2 D diag(conj s_z): D's diagonal blocks are
+        # the impedances summed down each node's path.
+        diag = path_sums(tree, 0.0, np.diagonal(z, axis1=1, axis2=2).copy())
+        diag = diag.reshape(-1) * np.conjugate(s_z)
+        diag *= h * h
+        diag += 1.0
+        if diag.size and np.min(np.abs(diag)) < DIAGONAL_TOLERANCE:
+            worst = int(np.argmin(np.abs(diag)))
+            raise SingularError(
+                f"system diagonal entry {worst} has magnitude "
+                f"{abs(diag[worst]):.3e}, below {DIAGONAL_TOLERANCE:g}"
+            )
+        c = np.conjugate(s_z) * (h * h)
+        # The leading h freezes the constant-power injections at the
+        # nominal magnitude 1/h; it is unity in per-unit analysis.
+        rho = _per_unknown(PHASE_ROTATIONS[:p], feeder)
+        w = h * (np.conjugate(s_p) + np.conjugate(s_i)) * rho
+        if p == 1:
+            drops = _eliminate_scalar(feeder, c, w, z.reshape(m)) * z
+        else:
+            drops = z @ _eliminate_blocks(feeder, c, w, z)
+    return LinearModel(drops=drops, feeder=feeder)
+
+
+def _eliminate_blocks(
+    feeder: Feeder, c: np.ndarray, w: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """``assemble``'s elimination as an (m, p, p + 1) stack of [A | B], from
+    the node-major loads ``c`` and ``w`` and the (m, p, p) impedances
+    ``z``: one batched solve and one ``np.add.at`` into the parents per
+    depth level, deepest first."""
+    m, p, _ = z.shape
+    stack = np.zeros((m, p, p + 1), dtype=np.complex128)
+    stack[:, range(p), range(p)] = c.reshape(m, p)
+    stack[:, :, p] = w.reshape(m, p)
+    eye = np.eye(p)
+    for rows, parents in reversed(feeder.tree.schedule):
+        block = stack[rows]
+        pivots = eye + block[:, :, :p] @ z[rows]
+        try:
+            block = np.linalg.solve(pivots, block)
+        except np.linalg.LinAlgError:
+            raise _singular_pivot(feeder, np.arange(m)[rows], pivots) from None
+        stack[rows] = block
+        if parents is not None:
+            np.add.at(stack, parents, block)
+    return stack
+
+
+def _singular_pivot(
+    feeder: Feeder, rows: np.ndarray, pivots: np.ndarray
+) -> SingularError:
+    """The error naming the first node of one depth level (its ``rows``)
+    whose elimination pivot in ``pivots`` cannot be solved against."""
+    for row, pivot in zip(rows.tolist(), pivots):
+        try:
+            np.linalg.solve(pivot, pivot)
+        except np.linalg.LinAlgError:
+            return SingularError(
+                f"elimination pivot of node {feeder.nodes[row + 1]} "
+                "is singular"
+            )
+    return SingularError("elimination pivot is singular")
+
+
+def _eliminate_scalar(
+    feeder: Feeder, c: np.ndarray, w: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """``assemble``'s elimination on a single-phase feeder as an (m, 1, 2)
+    stack of [A | B], from the loads ``c`` and ``w`` and the impedances
+    ``z``, one entry per row: a scalar loop over the nodes in reverse walk
+    order, as each depth level holds too few numbers to repay a numpy
+    call."""
+    a, b, z = c.tolist(), w.tolist(), z.tolist()
+    parent = feeder.tree.parent
+    for node in reversed(feeder.tree.order[1:]):
+        row, up = node - 1, parent[node] - 1
+        pivot = 1.0 + a[row] * z[row]
+        try:
+            a[row] /= pivot
+            b[row] /= pivot
+        except ZeroDivisionError:
+            raise SingularError(
+                f"elimination pivot of node {feeder.nodes[node]} is zero"
+            ) from None
+        if up >= 0:
+            a[up] += a[row]
+            b[up] += b[row]
+    return np.array((a, b), dtype=np.complex128).T.reshape(-1, 1, 2)
 
 
 def _solution(feeder: Feeder, x: np.ndarray, method: str) -> Solution:
@@ -187,12 +280,31 @@ def _solution(feeder: Feeder, x: np.ndarray, method: str) -> Solution:
 
 
 def solve_linear(model: LinearModel) -> Solution:
-    """Solve the simple-mode system in one shot."""
-    try:
-        x = np.linalg.solve(model.sys_a, model.sys_b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularError(str(exc)) from exc
-    return _solution(model.feeder, x, "linear-simple")
+    """Solve the simple-mode system in one shot: the voltages down the tree
+    from the slack, x_k = x_parent - ``drops`` [x_parent; 1], one numpy
+    step per depth level, or one scalar step per node on single-phase
+    feeders."""
+    feeder = model.feeder
+    tree, p = feeder.tree, feeder.phase_count
+    slack = feeder.slack_phasors()
+    if p == 1:
+        gain, offset = model.drops[:, 0].T.tolist()
+        x, v_s, parent = [0j] * len(gain), complex(slack[0]), tree.parent
+        for node in tree.order[1:]:  # parents before children
+            row, up = node - 1, parent[node] - 1
+            upper = x[up] if up >= 0 else v_s
+            x[row] = upper - (gain[row] * upper + offset[row])
+        x = np.array(x, dtype=np.complex128)
+        return _solution(feeder, x, "linear-simple")
+    x = np.empty((len(tree.branches), p), dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        for rows, parents in tree.schedule:
+            upper = slack if parents is None else x[parents]
+            gain, offset = model.drops[rows, :, :p], model.drops[rows, :, p]
+            x[rows] = upper - (
+                (gain @ upper[..., np.newaxis])[..., 0] + offset
+            )
+    return _solution(feeder, x.reshape(-1), "linear-simple")
 
 
 def solve_linear_full(

@@ -1,7 +1,8 @@
 """Shared test machinery: random radial feeders and independent oracles.
 
 The oracles here deliberately avoid the package's solution paths: the
-reduced-impedance oracle uses explicit matrix inversion, and the two-bus
+reduced-impedance oracle uses explicit matrix inversion, the linear-simple
+oracle builds the dense system on the reduced impedance, and the two-bus
 oracle iterates the scalar voltage equation directly.
 """
 
@@ -17,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 import radialflow
-from radialflow import Branch, Feeder, ZipLoad
+from radialflow import Branch, Feeder, ZipLoad, reduced_impedance
+from radialflow.loads import PHASE_ROTATIONS, load_vectors
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -168,6 +170,25 @@ def brute_force_reduced_impedance(a_m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return a_inv @ z @ a_inv.T
 
 
+def dense_linear_system(feeder: Feeder) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for the linear-simple system over the non-slack node-major
+    unknowns, built densely on the reduced impedance D: the matrix
+    I + h^2 D diag(conj s_z) and the right-hand side
+    v_s - h D (conj s_p rho) - h D (conj s_i rho)."""
+    h, p = feeder.h, feeder.phase_count
+    s_z, s_i, s_p = (s[p:] for s in load_vectors(feeder))
+    unknown_nodes = len(feeder.nodes) - 1
+    rho = np.tile(np.asarray(PHASE_ROTATIONS[:p]), unknown_nodes)
+    v_s = np.tile(feeder.slack_phasors(), unknown_nodes)
+    d = reduced_impedance(None, feeder).d
+    p_base = d @ (np.conjugate(s_p) * rho)
+    i_base = d @ (np.conjugate(s_i) * rho)
+    sys_a = np.multiply(d, np.conjugate(s_z)[np.newaxis, :], out=d)
+    sys_a *= h * h
+    sys_a.flat[:: d.shape[0] + 1] += 1.0
+    return sys_a, v_s - h * p_base - h * i_base
+
+
 def dense_ybus(inc, feeder: Feeder) -> np.ndarray:
     """Oracle for the bus admittance: the dense product A^T C A, with C the
     block diagonal of the inverted branch impedances in incidence row
@@ -233,3 +254,16 @@ def chain_feeder(
         branches=branches,
         loads=loads,
     )
+
+
+def singular_pivot_feeder(phase_count: int) -> Feeder:
+    """Chain 1-2-3 whose constant-impedance load at node 3 is the negated
+    impedance of the branch feeding it, so the two in series short node 2:
+    the dense system is regular, with diagonal entries 1 and -1, but the
+    elimination pivot I + A z of node 3 is zero."""
+    z = 0.1 + 0j
+    if phase_count == 3:
+        z = tuple(
+            tuple(z if i == j else 0j for j in range(3)) for i in range(3)
+        )
+    return chain_feeder(3, z, loads=(ZipLoad(node="3", s_z=-10.0 + 0j),))

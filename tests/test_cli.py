@@ -16,7 +16,12 @@ from radialflow import (
 )
 from radialflow.cli import LINEAR_METHODS, main
 from radialflow.io import serialize_feeder
-from helpers import run_cli, run_python, two_bus_feeder
+from helpers import (
+    run_cli,
+    run_python,
+    singular_pivot_feeder,
+    two_bus_feeder,
+)
 
 VALID = serialize_feeder(radialflow.example_feeder("two_bus"))
 
@@ -86,6 +91,18 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stdout == ""
         # One diagnostic line: no traceback, no numpy warning.
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver error: ")
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_singular_elimination_pivot_is_a_solver_error(
+        self, tmp_path, phase_count
+    ):
+        path = tmp_path / "short.json"
+        path.write_text(serialize_feeder(singular_pivot_feeder(phase_count)))
+        proc = run_cli("solve", str(path), "--format", "csv")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("solver error: ")
 

@@ -1,10 +1,15 @@
 import cmath
 import math
+import sys
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
+import radialflow
 from radialflow import (
     BfsOptions,
     Branch,
@@ -15,7 +20,9 @@ from radialflow import (
     ZipLoad,
     assemble,
     linearize_vsq,
+    network,
     node_errors,
+    parse_feeder,
     residual,
     solve,
     solve_bfs,
@@ -23,7 +30,49 @@ from radialflow import (
     solve_linear_full,
 )
 from radialflow.loads import PHASE_ROTATIONS
-from helpers import chain_feeder, random_radial_feeder, two_bus_feeder
+from helpers import (
+    chain_feeder,
+    dense_linear_system,
+    perfbench_gen,
+    random_radial_feeder,
+    shuffled,
+    singular_pivot_feeder,
+    two_bus_feeder,
+)
+
+
+def _zip_delta_feeder(rng, n, phase_count):
+    return random_radial_feeder(
+        rng, n, phase_count, profile="zip",
+        delta_fraction=0.4 if phase_count == 3 else 0.0,
+    )
+
+
+def _reversed(feeder):
+    """The feeder with every branch stored in reverse orientation."""
+    return replace(feeder, branches=tuple(
+        replace(b, from_node=b.to_node, to_node=b.from_node)
+        for b in feeder.branches
+    ))
+
+
+def _dense_solve(feeder):
+    """Voltages at every node from the dense oracle system."""
+    sys_a, sys_b = dense_linear_system(feeder)
+    x = np.linalg.solve(sys_a, sys_b) if sys_b.size else sys_b
+    return np.concatenate([feeder.slack_phasors(), x])
+
+
+def _fifty_digit_solve(feeder):
+    """The dense oracle system solved by LU in 50-digit arithmetic."""
+    sys_a, sys_b = dense_linear_system(feeder)
+    with mpmath.workdps(50):
+        x = mpmath.lu_solve(
+            mpmath.matrix([[mpmath.mpc(v) for v in row] for row in sys_a]),
+            mpmath.matrix([mpmath.mpc(v) for v in sys_b]),
+        )
+        x = np.array([complex(v) for v in x], dtype=complex)
+    return np.concatenate([feeder.slack_phasors(), x])
 
 
 class TestLinearizeVsq:
@@ -53,21 +102,33 @@ class TestLinearizeVsq:
 class TestAssemble:
     def test_zero_loads(self):
         feeder = chain_feeder(4, 0.01 + 0.02j, v_s=1.05 + 0j)
-        model = assemble(feeder)
-        assert np.array_equal(model.sys_a, np.eye(3))
-        assert np.array_equal(model.sys_b, np.full(3, 1.05 + 0j))
+        sys_a, sys_b = dense_linear_system(feeder)
+        assert np.array_equal(sys_a, np.eye(3))
+        assert np.array_equal(sys_b, np.full(3, 1.05 + 0j))
+        # No subtree draws any current.
+        assert not np.any(assemble(feeder).drops)
 
     def test_two_bus_constant_impedance(self):
         z = 0.01 + 0.02j
         s_z = 0.5 + 0.2j
         feeder = two_bus_feeder(z=z, s_z=s_z)
-        model = assemble(feeder)
-        assert np.allclose(model.sys_a, [[1 + z * np.conjugate(s_z)]])
+        sys_a, _ = dense_linear_system(feeder)
+        assert np.allclose(sys_a, [[1 + z * np.conjugate(s_z)]])
+        # The eliminated drop z [c, w] / (1 + c z), c = conj(s_z), w = 0.
+        c = np.conjugate(s_z)
+        assert np.allclose(
+            assemble(feeder).drops[0, 0], [z * c / (1 + c * z), 0], atol=0
+        )
 
     def test_constant_power_only_keeps_identity(self):
-        feeder = two_bus_feeder(s_p=0.2 + 0.1j)
-        model = assemble(feeder)
-        assert np.array_equal(model.sys_a, np.eye(1))
+        z, s_p = 0.01 + 0.02j, 0.2 + 0.1j
+        feeder = two_bus_feeder(z=z, s_p=s_p)
+        sys_a, _ = dense_linear_system(feeder)
+        assert np.array_equal(sys_a, np.eye(1))
+        # The eliminated drop z [c, w] / (1 + c z), c = 0, w = conj(s_p).
+        assert np.allclose(
+            assemble(feeder).drops[0, 0], [0, z * np.conjugate(s_p)], atol=0
+        )
 
     def test_singular_diagonal_rejected(self):
         # A constant-impedance load cancelling the diagonal entry exactly.
@@ -75,6 +136,43 @@ class TestAssemble:
         feeder = two_bus_feeder(z=z, s_z=-10.0 + 0j)
         with pytest.raises(SingularError):
             assemble(feeder)
+
+    def test_near_singular_diagonal_is_named(self):
+        # The diagonal entry is 1e-10, below the tolerance; the elimination
+        # pivot is the same nonzero number, so only the check rejects it.
+        feeder = two_bus_feeder(z=0.1 + 0j, s_z=-(10.0 - 1e-9) + 0j)
+        with pytest.raises(
+            SingularError, match=r"system diagonal entry 0 has magnitude "
+            r"1\.0\d\de-10, below 1e-09"
+        ):
+            assemble(feeder)
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_singular_pivot_rejected(self, phase_count):
+        feeder = singular_pivot_feeder(phase_count)
+        sys_a, _ = dense_linear_system(feeder)
+        assert np.min(np.abs(np.diagonal(sys_a))) == 1.0
+        with pytest.raises(
+            SingularError,
+            match=r"^elimination pivot of node 3 is (zero|singular)$",
+        ):
+            solve_linear(assemble(feeder))
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_sub_minimum_impedance_rejected(self, phase_count):
+        # The elimination never inverts an impedance, but the model has no
+        # zero-impedance switch, as in the other solvers.
+        feeder = random_radial_feeder(
+            np.random.default_rng(22), 6, phase_count
+        )
+        tiny = 1e-10 if phase_count == 1 else tuple(
+            tuple(1e-10 if i == j else 0.0 for j in range(3))
+            for i in range(3)
+        )
+        branches = list(feeder.branches)
+        branches[2] = replace(branches[2], impedance=tiny)
+        with pytest.raises(SingularError, match=f"branch {branches[2].id}:"):
+            assemble(replace(feeder, branches=tuple(branches)))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -129,12 +227,127 @@ class TestSolveLinear:
         assert np.max(np.abs(dev_both - (dev_p + dev_i))) < 1e-12
 
     def test_combined_system_matches_component_assembly(self):
+        # The tree elimination solves the dense system on D, whatever the
+        # node order or the branch orientations.
         rng = np.random.default_rng(4)
-        feeder = random_radial_feeder(rng, 12, profile="zip")
-        model = assemble(feeder)
-        sol = solve_linear(model)
-        direct = np.linalg.solve(model.sys_a, model.sys_b)
-        assert np.array_equal(sol.voltages[1:], direct)
+        for phase_count, n in zip((1, 3) * 10, rng.integers(2, 40, 20)):
+            feeder = _zip_delta_feeder(rng, int(n), phase_count)
+            for variant in (feeder, shuffled(rng, feeder), _reversed(feeder)):
+                sol = solve_linear(assemble(variant))
+                error = np.max(np.abs(sol.voltages - _dense_solve(variant)))
+                assert error <= 1e-14
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_non_finite_model_is_a_solver_error(self, phase_count):
+        # Non-finite drops give non-finite voltages, not numpy warnings,
+        # which the test settings turn into errors.
+        rng = np.random.default_rng(15)
+        model = assemble(random_radial_feeder(rng, 8, phase_count))
+        drops = np.full_like(model.drops, complex(math.inf, math.inf))
+        with pytest.raises(SingularError, match="non-finite"):
+            solve_linear(replace(model, drops=drops))
+
+    def test_matches_a_fifty_digit_solve(self):
+        rng = np.random.default_rng(12)
+        feeders = [radialflow.example_feeder(name) for name in (
+            "two_bus", "balanced_ten_bus", "unbalanced_ten_bus"
+        )]
+        feeders += [
+            _zip_delta_feeder(rng, int(rng.integers(2, 31)), phase_count)
+            for phase_count in (1, 3) for _ in range(5)
+        ]
+        for feeder in feeders:
+            error = solve(feeder).voltages - _fifty_digit_solve(feeder)
+            assert np.max(np.abs(error)) <= 1e-15
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_node_order_does_not_change_the_solve(self, phase_count):
+        # Each level is eliminated and substituted in walk order, whatever
+        # order the nodes are listed in: results agree to the last bit.
+        rng = np.random.default_rng(13 + phase_count)
+        for _ in range(15):
+            n = int(rng.integers(2, 30))
+            feeder = _zip_delta_feeder(rng, n, phase_count)
+            other = shuffled(rng, feeder)
+            sol = solve(feeder)
+            moved = solve(other)
+            position = {node: i for i, node in enumerate(other.nodes)}
+            back = [position[node] for node in feeder.nodes]
+            v = moved.voltages.reshape(-1, phase_count)[back].reshape(-1)
+            assert np.array_equal(v, sol.voltages)
+
+    @pytest.mark.parametrize(
+        "shape", ["chain", "star", "single-1", "single-3"]
+    )
+    def test_extreme_tree_shapes_match_the_dense_system(self, shape):
+        if shape == "chain":  # depth = n = 2000
+            n = 2000
+            parts = dict(s_z=2e-5j, s_i=3e-5 + 1e-5j, s_p=4e-5 + 2e-5j)
+            loads = tuple(
+                ZipLoad(node=str(k), **parts) for k in range(2, n + 1)
+            )
+            feeder = chain_feeder(n, 1e-5 + 2e-5j, loads=loads)
+        elif shape == "star":  # depth 1, 199 leaves in one level
+            zs, zm = 0.004 + 0.009j, 0.0015 + 0.004j
+            z = tuple(
+                tuple(zs if i == j else zm for j in range(3)) for i in range(3)
+            )
+            leaves = tuple(str(k) for k in range(2, 201))
+            feeder = Feeder(
+                name="star", phase_count=3, nodes=("1", *leaves),
+                slack_voltage=1.0 + 0j,
+                branches=tuple(Branch(f"b{k}", "1", k, z) for k in leaves),
+                loads=tuple(
+                    ZipLoad(node=k, s_z=0.01j, s_i=0.005, s_p=0.01 + 0.004j,
+                            connection="delta" if int(k) % 3 else "wye")
+                    for k in leaves
+                ),
+            )
+        else:
+            phase_count = int(shape[-1])
+            feeder = Feeder(
+                name="single", phase_count=phase_count, nodes=("1",),
+                slack_voltage=1.02 + 0.01j, branches=(),
+            )
+        sol = solve(feeder)
+        assert np.max(np.abs(sol.voltages - _dense_solve(feeder))) <= 1e-12
+
+    def test_solve_builds_no_dense_matrix(self, monkeypatch):
+        names = (
+            "reduced_impedance", "branch_impedance_matrix", "build_incidence",
+            "ybus",
+        )
+        originals = {name: getattr(network, name) for name in names}
+        calls = Counter()
+
+        def counting(name):
+            def counted(*args):
+                calls[name] += 1
+                return originals[name](*args)
+
+            return counted
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] != "radialflow":
+                continue
+            for name, original in originals.items():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name))
+        for name in ("two_bus", "balanced_ten_bus", "unbalanced_ten_bus"):
+            solve(radialflow.example_feeder(name))
+        assert not calls
+
+    def test_peak_memory_is_a_small_share_of_d(self):
+        gen = perfbench_gen()
+        feeder = parse_feeder(gen.dumps(gen.feeder_doc(19, 2000, 1, 0.92)))
+        d_bytes = (len(feeder.nodes) - 1) ** 2 * 16
+        tracemalloc.start()
+        try:
+            solve(feeder)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * d_bytes
 
 
 class TestSolveLinearFull:
