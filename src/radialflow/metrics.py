@@ -37,10 +37,11 @@ class MetricsReport:
 
 
 def branch_flows(
-    sol: Solution, inc: IncidenceModel, feeder: Feeder
+    sol: Solution, inc: IncidenceModel | None, feeder: Feeder
 ) -> BranchFlows:
     """Recover drops e = A V, currents I = Z^-1 e and sending-end power for
-    every branch; signs follow each branch's stored orientation."""
+    every branch; signs follow each branch's stored orientation. Read from
+    ``feeder.tree`` alone; ``inc`` is unused and may be None."""
     p = feeder.phase_count
     n = len(feeder.nodes)
     if sol.voltages.shape != (n * p,):
@@ -56,7 +57,7 @@ def branch_flows(
     currents = currents[..., 0]
     sending = v_from * np.conjugate(currents)
     return BranchFlows(
-        branch_ids=inc.branch_order,
+        branch_ids=tuple(branch.id for branch in feeder.tree.branches),
         drops=drops,
         currents=currents,
         sending_power=sending,
@@ -118,16 +119,17 @@ def v_min(sol: Solution) -> float:
 
 
 def power_balance(
-    feeder: Feeder, inc: IncidenceModel, sol: Solution
+    feeder: Feeder, inc: IncidenceModel | None, sol: Solution
 ) -> tuple[complex, complex, complex]:
     """(slack injection, total load draw, total loss) complex powers.
 
     For a converged iterative solution the slack injection equals load plus
-    loss; the gap certifies solution quality.
+    loss; the gap certifies solution quality. ``inc`` is unused; may be None.
     """
     flows = branch_flows(sol, inc, feeder)
     # Slack rows of A^T I_F: the current the source pushes into the feeder.
-    slack_current = inc.a_s @ flows.currents
+    from_slack, to_slack = (feeder.tree.ends == 0).T
+    slack_current = (from_slack * 1.0 - to_slack) @ flows.currents
     slack_power = np.sum(feeder.slack_phasors() * np.conjugate(slack_current))
     injections = nodal_injections(feeder, sol.voltages)
     load_power = np.sum(sol.voltages * np.conjugate(-injections))
@@ -137,12 +139,12 @@ def power_balance(
 
 def summarize(
     sol: Solution,
-    inc: IncidenceModel,
+    inc: IncidenceModel | None,
     feeder: Feeder,
     reference: Solution | None = None,
 ) -> MetricsReport:
     """Bundle losses, V_min, optional per-node error against a reference,
-    and the unbalance rate for three-phase solutions."""
+    and the three-phase unbalance rate; ``inc`` is unused, may be None."""
     p_loss, q_loss = losses(branch_flows(sol, inc, feeder))
     epsilon = node_errors(sol, reference) if reference is not None else None
     rate = luvr(sol) if feeder.phase_count == 3 else None

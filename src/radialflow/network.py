@@ -189,11 +189,11 @@ class ValidationReport:
 class IncidenceModel:
     """Signed incidence matrix of a validated feeder and its slack split.
 
-    ``a`` is m x n with columns ordered as ``nodes``; ``a_s`` is the slack
-    column and ``a_m`` the square non-slack block. Row k holds the branch
-    feeding node k + 1, so ``a_m`` has that branch's orientation (+-1) on
-    its diagonal and the opposite sign in the parent's column, whatever the
-    node order.
+    ``a`` is a read-only m x n array with columns ordered as ``nodes``;
+    ``a_s`` (the slack column) and ``a_m`` (the square non-slack block) are
+    views of it. Row k holds the branch feeding node k + 1, so ``a_m`` has
+    that branch's orientation (+-1) on its diagonal and the opposite sign in
+    the parent's column, whatever the node order.
     """
 
     a: np.ndarray
@@ -387,10 +387,11 @@ def build_incidence(feeder: Feeder) -> IncidenceModel:
     rows = np.arange(m)
     a[rows, tree.ends[:, 0]] = 1.0
     a[rows, tree.ends[:, 1]] = -1.0
+    a.flags.writeable = False
     return IncidenceModel(
         a=a,
-        a_s=a[:, 0].copy(),
-        a_m=a[:, 1:].copy(),
+        a_s=a[:, 0],
+        a_m=a[:, 1:],
         branch_order=tuple(branch.id for branch in tree.branches),
         nodes=feeder.nodes,
     )

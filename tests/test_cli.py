@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from radialflow import (
 from radialflow.cli import LINEAR_METHODS, main
 from radialflow.io import serialize_feeder
 from helpers import (
+    perfbench_gen,
     run_cli,
     run_python,
     singular_pivot_feeder,
@@ -125,6 +127,19 @@ class TestExitCodes:
             "--tolerance", "1e-14", "--max-iterations", "2",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "metrics"])
+    def test_out_of_memory_is_a_solver_error(
+        self, valid_file, capsys, monkeypatch, command
+    ):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("radialflow.cli.solve", exhausted)
+        assert main([command, valid_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solver error: out of memory\n"
 
     def test_compare_and_metrics_ok(self, valid_file):
         assert main(["compare", valid_file]) == 0
@@ -316,6 +331,24 @@ class TestSolveCommand:
         err_vs = np.max(node_errors(solve_linear_full(feeder, 1.05), ref))
         err_one = np.max(node_errors(solve_linear_full(feeder, 1.0), ref))
         assert err_vs < err_one
+
+    @pytest.mark.parametrize("method", ["linear-simple", "bfs"])
+    def test_peak_memory_is_a_small_share_of_incidence(self, tmp_path, method):
+        # The dense incidence matrix A would be m x n float64, n = m + 1.
+        gen = perfbench_gen()
+        doc = gen.feeder_doc(19, 2000, 1, 0.92)
+        path = tmp_path / "large.json"
+        path.write_text(gen.dumps(doc))
+        m = len(doc["branches"])
+        a_bytes = m * (m + 1) * 8
+        argv = ["solve", str(path), "-o", str(tmp_path / "out.json")]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--method", method]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * a_bytes
 
     def test_output_file(self, valid_file, tmp_path, capsys):
         out = tmp_path / "result.json"

@@ -16,6 +16,7 @@ from radialflow import (
     losses,
     luvr,
     node_errors,
+    power_balance,
     solve_bfs,
     solve_linear,
     summarize,
@@ -105,6 +106,12 @@ class TestBranchFlows:
             )
             assert np.max(np.abs(flows.currents.reshape(-1) - currents)) < 1e-12
             assert np.array_equal(flows.drops.reshape(-1), drops)
+            slack_current = inc.a_s @ flows.currents
+            slack_power = np.sum(
+                feeder.slack_phasors() * np.conjugate(slack_current)
+            )
+            slack, _, _ = power_balance(feeder, inc, sol)
+            assert abs(slack - slack_power) <= 1e-13
 
     def test_solution_of_another_feeder_rejected(self):
         small, large = chain_feeder(3, 0.01 + 0.02j), chain_feeder(4, 0.01j)

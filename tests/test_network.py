@@ -89,6 +89,9 @@ class TestBuildIncidence:
         assert np.array_equal(inc.a_s, [1.0])
         assert np.array_equal(inc.a_m, [[-1.0]])
         assert inc.branch_order == ("b1",)
+        assert np.shares_memory(inc.a_m, inc.a)
+        assert np.shares_memory(inc.a_s, inc.a)
+        assert not inc.a.flags.writeable
 
     def test_three_node_chain(self):
         feeder = chain_feeder(3, 0.01 + 0.01j)
