@@ -4,15 +4,17 @@ Alternates a backward sweep (sum each subtree's current, with ZIP injections
 at the present voltages) with a forward sweep (drop each node's voltage from
 its parent's through the branch impedance) until the largest voltage update
 is under the tolerance. V = V_s - U^-1 Z U^-T I(V) runs on the tree kernels
-of the reduced impedance D: O(n p^2) arithmetic in O(depth) numpy steps per
-iteration. Delta loads are evaluated against the iterate's line voltages,
-so the fixed point satisfies the exact nodal equations.
+of the reduced impedance D: O(n p^2) arithmetic per iteration, each sweep one
+Python walk over the nodes per phase. Delta loads are evaluated against the
+iterate's line voltages, so the fixed point satisfies the exact nodal
+equations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -29,10 +31,18 @@ class BfsOptions:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        tolerance, budget = self.tolerance, self.max_iterations
+        if isinstance(tolerance, (bool, np.bool_)) or not (
+            math.isfinite(tolerance) and tolerance > 0
+        ):
             raise ValueError("tolerance must be finite and positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        # Any integer type, numpy's included, but not a bool or a float.
+        if (
+            isinstance(budget, bool)
+            or not isinstance(budget, Integral)
+            or budget < 1
+        ):
+            raise ValueError("max_iterations must be an integer of at least 1")
 
 
 def solve_bfs(feeder: Feeder, opts: BfsOptions | None = None) -> Solution:

@@ -21,6 +21,7 @@ Two solver modes are exposed:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,9 +61,10 @@ class LinearizationPoint:
 
     def __post_init__(self):
         for phasor in self.phasors:
-            if abs(phasor) <= 0:
+            if not (cmath.isfinite(phasor) and abs(phasor) > 0):
                 raise ValueError(
-                    "linearization phasors must have positive magnitude"
+                    "linearization phasors must be finite with positive "
+                    "magnitude"
                 )
 
     @classmethod

@@ -8,8 +8,10 @@ D = A_M^-1 Z A_M^-T, the inverse of the slack-reduced bus admittance. Row k
 of A_M is the branch feeding node k + 1: A_M = S U, S the orientations
 (+-1), U unsigned, and S Z S = Z as Z is block diagonal. So D = U^-1 Z U^-T,
 where U^-1 sums down each node's path from the slack (``path_sums``) and
-U^-T over its subtree (``subtree_sums``), in place, a level at a time. The
-bus admittance Y = A^T C A is scattered from the per-branch admittance
+U^-T over its subtree (``subtree_sums``), in place: ``path_sums`` a level
+at a time on matrix payloads and one Python walk over the nodes on (m, p)
+ones, ``subtree_sums`` one Python walk on any payload. The bus
+admittance Y = A^T C A is scattered from the per-branch admittance
 blocks, without forming A or any dense product.
 """
 
@@ -443,7 +445,22 @@ def path_sums(tree: TreeInfo, root, steps: np.ndarray) -> np.ndarray:
     """Down the tree, in place: row k - 1 of ``steps`` (the branch feeding
     node k) becomes ``root`` plus the steps on node k's path from the
     slack, x[k] = x[parent] + steps[k - 1] with x[slack] = root. Returns
-    ``steps``; each depth level is one numpy step."""
+    ``steps``. An (m, p) payload is one Python walk per column, parents
+    first, as a depth level holds too few numbers to repay a numpy call;
+    a matrix payload is one numpy step per depth level."""
+    if steps.ndim == 2:
+        walk, parent = tree.order[1:], tree.parent
+        tops = np.broadcast_to(
+            np.asarray(root, dtype=steps.dtype), steps.shape[1:]
+        ).tolist()
+        columns = steps.T.tolist()
+        for top, column in zip(tops, columns):
+            x = [top, *column]  # x[k] for node k, the slack's being root
+            for node in walk:
+                x[node] += x[parent[node]]
+            column[:] = x[1:]
+        steps.T[...] = columns
+        return steps
     for rows, parents in tree.schedule:
         steps[rows] += root if parents is None else steps[parents]
     return steps
@@ -451,11 +468,21 @@ def path_sums(tree: TreeInfo, root, steps: np.ndarray) -> np.ndarray:
 
 def subtree_sums(tree: TreeInfo, values: np.ndarray) -> np.ndarray:
     """Up the tree, in place: row k - 1 of ``values`` (node k) becomes the
-    sum of ``values`` over node k's subtree. Returns ``values``; deepest
-    level first, one ``np.add.at`` per level adds it into the parents,
-    siblings one after another in walk order."""
-    for rows, parents in reversed(tree.schedule[1:]):
-        np.add.at(values, parents, values[rows])
+    sum of ``values`` over node k's subtree. Returns ``values``. One Python
+    walk per column of the rows, deepest level first, adds each node into
+    its parent, siblings one after another in walk order."""
+    order, parent, levels = tree.order, tree.parent, tree.levels
+    rows = values.reshape(len(values), math.prod(values.shape[1:]))
+    columns = rows.T.tolist()
+    for column in columns:
+        x = [0j, *column]  # x[k] for node k; the slack's is unused
+        for depth in range(len(levels) - 2, 1, -1):
+            for node in order[levels[depth]:levels[depth + 1]]:
+                x[parent[node]] += x[node]
+        column[:] = x[1:]
+    rows.T[...] = columns
+    if not np.may_share_memory(rows, values):  # reshape had to copy
+        values[...] = rows.reshape(values.shape)
     return values
 
 

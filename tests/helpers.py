@@ -87,14 +87,19 @@ def random_radial_feeder(
     load_scale: float = 1.0,
     z_scale: float = 1.0,
     delta_fraction: float = 0.0,
+    edges: list[tuple[int, int]] | None = None,
 ) -> Feeder:
     """Random radial feeder with the requested load profile.
 
-    ``profile`` is one of none, p_only, z_only, i_only, zip.
+    ``profile`` is one of none, p_only, z_only, i_only, zip. ``edges``
+    (parent, child) on nodes 0..n-1 fixes the tree; by default it is a
+    ``random_tree``.
     """
     nodes = tuple(str(i + 1) for i in range(n))
     branches = []
-    for idx, (parent, child) in enumerate(random_tree(rng, n)):
+    if edges is None:
+        edges = random_tree(rng, n)
+    for idx, (parent, child) in enumerate(edges):
         impedance = (
             _impedance(rng, n, z_scale)
             if phase_count == 1
@@ -153,6 +158,23 @@ def shuffled(
         for b in feeder.branches
     )
     return replace(feeder, nodes=(feeder.slack, *rest), branches=branches)
+
+
+def level_path_sums(tree, root, steps: np.ndarray) -> np.ndarray:
+    """Oracle for ``network.path_sums`` at any payload rank: one numpy step
+    per depth level, in place."""
+    for rows, parents in tree.schedule:
+        steps[rows] += root if parents is None else steps[parents]
+    return steps
+
+
+def level_subtree_sums(tree, values: np.ndarray) -> np.ndarray:
+    """Oracle for ``network.subtree_sums`` at any payload rank: deepest
+    level first, one ``np.add.at`` per level into the parents, which adds
+    siblings one after another in walk order; in place."""
+    for rows, parents in reversed(tree.schedule[1:]):
+        np.add.at(values, parents, values[rows])
+    return values
 
 
 def perfbench_gen():

@@ -129,6 +129,21 @@ class TestSolveBfs:
         with pytest.raises(ValueError):
             BfsOptions(max_iterations=0)
 
+    def test_options_reject_bools_and_non_integers(self):
+        for tolerance in (True, False, np.True_):
+            with pytest.raises(ValueError, match="tolerance"):
+                BfsOptions(tolerance=tolerance)
+        for budget in (2.5, 3.0, math.inf, math.nan, True, False, "3"):
+            with pytest.raises(ValueError, match="max_iterations"):
+                BfsOptions(max_iterations=budget)
+        for budget in (0, -2, np.int64(0)):
+            with pytest.raises(ValueError, match="at least 1"):
+                BfsOptions(max_iterations=budget)
+        # Numpy integers stay valid and bound the sweep like ints.
+        feeder = two_bus_feeder()
+        sol = solve_bfs(feeder, BfsOptions(max_iterations=np.int64(50)))
+        assert sol.converged
+
     def test_three_phase_delta_converges(self):
         import radialflow
 

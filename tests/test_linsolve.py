@@ -491,6 +491,17 @@ def test_linearization_point_validation():
         solve_linear_full(feeder, LinearizationPoint((1.0 + 0j, 1.0 + 0j)))
 
 
+@pytest.mark.parametrize(
+    "value", [complex("nan"), complex("inf"), complex(1, math.inf),
+              complex(math.nan, 1)]
+)
+def test_linearization_point_rejects_non_finite_phasors(value):
+    with pytest.raises(ValueError, match="positive magnitude"):
+        LinearizationPoint((value,))
+    with pytest.raises(ValueError, match="positive magnitude"):
+        solve(two_bus_feeder(), "linear-full", v0=value)
+
+
 @pytest.mark.parametrize("name", ["balanced_ten_bus", "unbalanced_ten_bus"])
 @pytest.mark.parametrize("method", ["linear-simple", "linear-full", "bfs"])
 def test_overflowing_voltage_scale_is_a_solver_error(name, method):

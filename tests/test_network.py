@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import radialflow.bfs
 from radialflow import (
+    BfsOptions,
     Branch,
     Feeder,
     RadialityError,
@@ -15,14 +17,22 @@ from radialflow import (
     build_incidence,
     parse_feeder,
     reduced_impedance,
+    solve_bfs,
     validate_radial,
     ybus,
 )
-from radialflow.network import impedance_blocks, path_sums, subtree_sums
+from radialflow.network import (
+    impedance_blocks,
+    in_walk_order,
+    path_sums,
+    subtree_sums,
+)
 from helpers import (
     brute_force_reduced_impedance,
     chain_feeder,
     dense_ybus,
+    level_path_sums,
+    level_subtree_sums,
     perfbench_gen,
     random_radial_feeder,
     shuffled,
@@ -297,6 +307,73 @@ class TestTreeKernels:
             expected = _subtree_oracle(tree.parent, values)
             assert subtree_sums(tree, values) is values
             assert np.array_equal(values, expected)
+
+
+def _spread_complex(rng, shape):
+    # Magnitudes over six decades: the sums round, so a change in the
+    # order of additions shows in the last bits.
+    scale = 10.0 ** rng.uniform(-3, 3, shape)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+class TestWalkKernels:
+    """``path_sums`` on (m, p) payloads and ``subtree_sums`` on any payload
+    walk the tree in Python; they must add in the order of the per-level
+    numpy oracles, bit for bit."""
+
+    def _feeders(self, phase_count):
+        rng = np.random.default_rng(30 + phase_count)
+        for _ in range(6):
+            feeder = random_radial_feeder(
+                rng, int(rng.integers(2, 200)), phase_count, profile="zip"
+            )
+            yield in_walk_order(feeder)
+            yield shuffled(rng, feeder)
+            yield shuffled(rng, feeder, flip=1.0)
+        chain = [(k - 1, k) for k in range(1, 2000)]
+        yield random_radial_feeder(rng, 2000, phase_count, edges=chain)
+        star = [(0, k) for k in range(1, 200)]
+        yield random_radial_feeder(rng, 200, phase_count, edges=star)
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_kernels_add_in_the_per_level_order(self, phase_count):
+        rng = np.random.default_rng(40 + phase_count)
+        for feeder in self._feeders(phase_count):
+            m, tree = len(feeder.nodes) - 1, feeder.tree
+            for trailing in ((phase_count,), (phase_count, 4)):
+                root = _spread_complex(rng, trailing)
+                steps = _spread_complex(rng, (m, *trailing))
+                expected = level_path_sums(tree, root, steps.copy())
+                assert path_sums(tree, root, steps) is steps
+                assert np.array_equal(steps, expected)
+                values = _spread_complex(rng, (m, *trailing))
+                expected = level_subtree_sums(tree, values.copy())
+                assert subtree_sums(tree, values) is values
+                assert np.array_equal(values, expected)
+            # A strided payload, whose rows cannot be reshaped as a view.
+            values = _spread_complex(rng, (m, 4, phase_count))
+            values = values.transpose(0, 2, 1)
+            expected = level_subtree_sums(tree, values.copy())
+            assert subtree_sums(tree, values) is values
+            assert np.array_equal(values, expected)
+            # A scalar root, as the assembly of the linear system passes.
+            steps = _spread_complex(rng, (m, phase_count))
+            expected = level_path_sums(tree, 0.0, steps.copy())
+            assert np.array_equal(path_sums(tree, 0.0, steps), expected)
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_bfs_matches_the_per_level_kernels(self, phase_count, monkeypatch):
+        opts = BfsOptions(tolerance=1e-10)
+        for feeder in self._feeders(phase_count):
+            sol = solve_bfs(feeder, opts)
+            with monkeypatch.context() as patch:
+                patch.setattr(radialflow.bfs, "path_sums", level_path_sums)
+                patch.setattr(
+                    radialflow.bfs, "subtree_sums", level_subtree_sums
+                )
+                expected = solve_bfs(feeder, opts)
+            assert sol.iterations == expected.iterations
+            assert np.array_equal(sol.voltages, expected.voltages)
 
 
 class TestYbus:
