@@ -8,8 +8,6 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import cmath
-import math
 import sys
 from typing import Any
 
@@ -18,7 +16,7 @@ import numpy as np
 from . import io as fio
 from .bfs import BfsOptions, residual
 from .errors import ParseError, RadialFlowError, RadialityError
-from .linsolve import solve
+from .linsolve import LinearizationPoint, solve
 from .metrics import summarize
 # build_incidence is unused; perfbench's span test expects it bound here.
 from .network import Feeder, build_incidence
@@ -53,45 +51,26 @@ def _bfs_options(args: argparse.Namespace) -> BfsOptions:
     )
 
 
-def _v0(text: str) -> complex:
-    """``--v0`` value: a finite complex number of positive magnitude."""
-    try:
-        value = complex(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid complex value: {text!r}"
-        ) from None
-    if not (cmath.isfinite(value) and abs(value) > 0):
-        raise argparse.ArgumentTypeError(
-            f"needs a finite nonzero value, got {text!r}"
-        )
-    return value
+def _flag(convert, build):
+    """An argparse ``type``: ``convert`` the text (argparse reports a
+    ValueError as an invalid value), then ``build`` the option type that
+    owns the flag's rule, whose ValueError becomes a usage error too."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            build(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+        return value
+
+    parse.__name__ = convert.__name__  # names the type in argparse's message
+    return parse
 
 
-def _tolerance(text: str) -> float:
-    """``--tolerance`` value: a finite positive number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"needs a finite positive number, got {text!r}"
-        )
-    return value
-
-
-def _iterations(text: str) -> int:
-    """``--max-iterations`` value: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"needs an integer of at least 1, got {text!r}"
-        )
-    return value
+_v0 = _flag(complex, lambda value: LinearizationPoint((value,)))
+_tolerance = _flag(float, lambda value: BfsOptions(tolerance=value))
+_iterations = _flag(int, lambda value: BfsOptions(max_iterations=value))
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -136,42 +115,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
     lin_report = summarize(solution, None, feeder, reference=reference)
     ref_report = summarize(reference, None, feeder)
     p = feeder.phase_count
+    columns = {
+        "v_mag_linear": [abs(v) for v in solution.voltages],
+        "v_mag_bfs": [abs(v) for v in reference.voltages],
+        "epsilon": lin_report.epsilon.tolist(),
+    }
+    if p == 3:
+        columns["luvr_linear"] = lin_report.luvr.tolist()
+        columns["luvr_bfs"] = ref_report.luvr.tolist()
+    rows = fio.node_rows(feeder.nodes, p, **columns)
 
-    rows = []
-    for node_idx, node in enumerate(feeder.nodes):
-        for phase in range(p):
-            flat = node_idx * p + phase
-            row: dict[str, Any] = {
-                "id": node,
-                "phase": fio.phase_label(phase, p),
-                "v_mag_linear": fio.fmt_number(abs(solution.voltages[flat])),
-                "v_mag_bfs": fio.fmt_number(abs(reference.voltages[flat])),
-                "epsilon": fio.fmt_number(float(lin_report.epsilon[flat])),
-            }
-            if p == 3:
-                row["luvr_linear"] = fio.fmt_number(float(lin_report.luvr[node_idx]))
-                row["luvr_bfs"] = fio.fmt_number(float(ref_report.luvr[node_idx]))
-            rows.append(row)
+    def pair(linear: float, bfs: float) -> dict[str, float]:
+        return {"linear": fio.fmt_number(linear), "bfs": fio.fmt_number(bfs)}
 
     summary: dict[str, Any] = {
         "max_epsilon": fio.fmt_number(float(np.max(lin_report.epsilon))),
         "mean_epsilon": fio.fmt_number(float(np.mean(lin_report.epsilon))),
-        "v_min": {
-            "linear": fio.fmt_number(lin_report.v_min),
-            "bfs": fio.fmt_number(ref_report.v_min),
-        },
-        "p_loss": {
-            "linear": fio.fmt_number(lin_report.p_loss),
-            "bfs": fio.fmt_number(ref_report.p_loss),
-        },
-        "q_loss": {
-            "linear": fio.fmt_number(lin_report.q_loss),
-            "bfs": fio.fmt_number(ref_report.q_loss),
-        },
-        "residual": {
-            "linear": fio.fmt_number(residual(feeder, solution)),
-            "bfs": fio.fmt_number(residual(feeder, reference)),
-        },
+        "v_min": pair(lin_report.v_min, ref_report.v_min),
+        "p_loss": pair(lin_report.p_loss, ref_report.p_loss),
+        "q_loss": pair(lin_report.q_loss, ref_report.q_loss),
+        "residual": pair(
+            residual(feeder, solution), residual(feeder, reference)
+        ),
     }
     if p == 3:
         over_linear = [
@@ -188,20 +153,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "identical": over_linear == over_bfs,
         }
 
-    if args.format == "json":
-        doc = {
-            "schema_version": fio.SCHEMA_VERSION,
-            "method": args.method,
-            "reference": "bfs",
-            "nodes": rows,
-            "summary": summary,
-        }
-        _emit(args, fio.render_json(doc))
-    else:
-        columns = ["id", "phase", "v_mag_linear", "v_mag_bfs", "epsilon"]
-        if p == 3:
-            columns += ["luvr_linear", "luvr_bfs"]
-        _emit(args, fio.render_csv(columns, rows))
+    doc = {
+        "schema_version": fio.SCHEMA_VERSION,
+        "method": args.method,
+        "reference": "bfs",
+        "nodes": rows,
+        "summary": summary,
+    }
+    _emit(args, fio.render(doc, ["id", "phase", *columns], rows, args.format))
     return EXIT_OK
 
 
@@ -224,12 +183,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             node: fio.fmt_number(float(report.luvr[i]))
             for i, node in enumerate(feeder.nodes)
         }
-    if args.format == "json":
-        _emit(args, fio.render_json({**scalars, "luvr": luvr} if luvr else scalars))
-    else:
-        rows = [{"metric": k, "id": "", "value": v} for k, v in scalars.items()]
-        rows += [{"metric": "luvr", "id": k, "value": v} for k, v in luvr.items()]
-        _emit(args, fio.render_csv(["metric", "id", "value"], rows))
+    doc = {**scalars, "luvr": luvr} if luvr else scalars
+    rows = [{"metric": k, "id": "", "value": v} for k, v in scalars.items()]
+    rows += [{"metric": "luvr", "id": k, "value": v} for k, v in luvr.items()]
+    _emit(args, fio.render(doc, ["metric", "id", "value"], rows, args.format))
     return EXIT_OK
 
 
@@ -297,7 +254,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # A non-finite result is a solver error, raised where it is
+        # written, not a numpy warning on the way there.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

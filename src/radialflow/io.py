@@ -5,7 +5,14 @@ sections ``slack``, ``branches``, ``loads`` and ``options``. Complex values
 are objects with either ``re``/``im`` or ``mag``/``angle_deg`` keys; angles
 live in degrees in files and radians internally. Three-phase branch
 impedances are nine complex entries, row-major. Quantities are per-unit
-unless ``options.v_base`` declares a physical voltage base.
+unless ``options.v_base`` declares a physical voltage base. A well-formed
+section is read in one array pass, which checks JSON types and leaves the
+values to ``Branch`` and ``ZipLoad``; any other goes through scalar
+converters that name the first bad field.
+
+Results leave through one row writer, ``node_rows`` (a row per node and
+phase), and one choice of format, ``render``. Every number passes through
+``fmt_number``, which raises SingularError on an infinite or NaN value.
 """
 
 from __future__ import annotations
@@ -21,11 +28,11 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, SingularError
 from .linsolve import Solution
 from .loads import PHASES, ZipLoad, drop_zero_loads
 from .metrics import MetricsReport
-from .network import _MATRIX_SYMMETRY_TOL, Branch, Feeder, in_walk_order
+from .network import Branch, Feeder, in_walk_order
 
 SCHEMA_VERSION = "1"
 
@@ -146,10 +153,9 @@ def _loads(raw_loads: list, known: set, slack_node: str) -> list[ZipLoad]:
     return loads
 
 
-# The array pass below reads well-formed sections only. It raises nothing:
-# on anything it does not take (another complex form, a missing field, a
-# value that fails a check) it returns None, and the section goes through
-# the scalar converters above, which name the first bad field.
+# The array pass below raises nothing: on anything it does not take
+# (another complex form, a missing field, a value an object rejects) it
+# returns None, and the section goes through the scalar converters above.
 _PARTS = operator.itemgetter("re", "im")
 _ZERO = {"re": 0.0, "im": 0.0}
 _COMPONENTS = ("s_z", "s_i", "s_p")
@@ -160,12 +166,11 @@ _NOT_PLAIN = (
 
 def _complex_array(values: Iterable) -> np.ndarray | None:
     """``re``/``im`` objects as one complex array, or None unless every
-    part is a finite JSON number."""
+    part is a JSON number."""
     parts = list(chain.from_iterable(map(_PARTS, values)))
     if not set(map(type, parts)) <= {int, float}:
         return None
-    z = np.array(parts, dtype=np.float64)
-    return z.view(np.complex128) if np.isfinite(z).all() else None
+    return np.array(parts, dtype=np.float64).view(np.complex128)
 
 
 def _branch_pass(raw_branches: list, phase_count: int):
@@ -181,9 +186,6 @@ def _branch_pass(raw_branches: list, phase_count: int):
         if z is None:
             return None
         stack = z.reshape(len(raw_branches), phase_count, phase_count)
-        asymmetry = np.abs(stack - stack.transpose(0, 2, 1))
-        if (asymmetry > _MATRIX_SYMMETRY_TOL).any():
-            return None
         values = z.tolist()
         if phase_count == 3:
             # Nine entries a branch: rows of three, then matrices of three
@@ -332,8 +334,15 @@ def render_json(doc: Any) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def render_csv(columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> str:
-    """CSV text: a header of ``columns``, then each row's values for them."""
+def render(
+    doc: Any, columns: Sequence[str], rows: Iterable[dict], format: str
+) -> str:
+    """The output in ``format``: ``doc`` as JSON, or as CSV a header of
+    ``columns``, then each of ``rows``' values for them."""
+    if format == "json":
+        return render_json(doc)
+    if format != "csv":
+        raise ValueError(f"unknown format {format!r}")
     buffer = _stdio.StringIO()
     writer = csv.DictWriter(
         buffer, columns, extrasaction="ignore", lineterminator="\n"
@@ -344,7 +353,10 @@ def render_csv(columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> str:
 
 
 def fmt_number(value: float) -> float:
-    """Round to 12 significant digits for stable, re-parseable output."""
+    """Round to 12 significant digits for stable, re-parseable output.
+    Raises SingularError on a non-finite value, which JSON cannot hold."""
+    if not math.isfinite(value):
+        raise SingularError(f"result is not finite: {value}")
     return float(f"{value:.12g}")
 
 
@@ -400,25 +412,24 @@ def phase_label(index: int, phase_count: int) -> str:
     return PHASES[index] if phase_count == 3 else ""
 
 
-def _solution_rows(sol: Solution, report: MetricsReport | None):
-    p = sol.phase_count
-    for node_idx, node in enumerate(sol.nodes):
-        for phase in range(p):
-            flat = node_idx * p + phase
-            v = sol.voltages[flat]
-            row: dict[str, Any] = {
-                "id": node,
-                "phase": phase_label(phase, p),
-                "v_re": fmt_number(v.real),
-                "v_im": fmt_number(v.imag),
-                "v_mag": fmt_number(abs(v)),
-                "angle_deg": fmt_number(math.degrees(np.angle(v))),
-            }
-            if report is not None and report.epsilon is not None:
-                row["epsilon"] = fmt_number(float(report.epsilon[flat]))
-            if report is not None and report.luvr is not None:
-                row["luvr"] = fmt_number(float(report.luvr[node_idx]))
-            yield row
+def node_rows(
+    nodes: Sequence[str], phase_count: int, **columns: Sequence[float]
+) -> list[dict[str, Any]]:
+    """One row per node and phase, node-major: ``id``, ``phase``, then each
+    of ``columns`` by name through ``fmt_number``. A column holds one value
+    per node and phase, or one per node, which its phases share."""
+    p = phase_count
+    names = ("id", "phase", *columns)
+    cells = [
+        [node for node in nodes for _ in range(p)],
+        [phase_label(phase, p) for phase in range(p)] * len(nodes),
+    ]
+    for values in columns.values():
+        numbers = list(map(fmt_number, values))
+        if len(numbers) != len(cells[0]):  # one per node, for each phase
+            numbers = [number for number in numbers for _ in range(p)]
+        cells.append(numbers)
+    return [dict(zip(names, row)) for row in zip(*cells)]
 
 
 def write_solution(
@@ -429,33 +440,36 @@ def write_solution(
     CSV holds one row per node and phase with magnitude and angle in
     degrees; JSON adds rectangular parts and the summary metrics. Numbers
     carry 12 significant digits and the field order is fixed, so identical
-    inputs yield identical bytes.
+    inputs yield identical bytes. Raises SingularError on a non-finite
+    number.
     """
-    if format == "json":
-        doc: dict[str, Any] = {
-            "schema_version": SCHEMA_VERSION,
-            "method": sol.method,
-            "converged": sol.converged,
-            "iterations": sol.iterations,
-            "phase_count": sol.phase_count,
-            "nodes": list(_solution_rows(sol, report)),
+    voltages = sol.voltages
+    columns = {
+        "v_re": voltages.real.tolist(),
+        "v_im": voltages.imag.tolist(),
+        "v_mag": [abs(v) for v in voltages],
+        "angle_deg": [math.degrees(np.angle(v)) for v in voltages],
+    }
+    if report is not None and report.epsilon is not None:
+        columns["epsilon"] = report.epsilon.tolist()
+    if report is not None and report.luvr is not None:
+        columns["luvr"] = report.luvr.tolist()
+    rows = node_rows(sol.nodes, sol.phase_count, **columns)
+    doc: dict[str, Any] = {
+        "schema_version": SCHEMA_VERSION,
+        "method": sol.method,
+        "converged": sol.converged,
+        "iterations": sol.iterations,
+        "phase_count": sol.phase_count,
+        "nodes": rows,
+    }
+    if report is not None:
+        doc["metrics"] = {
+            "p_loss": fmt_number(report.p_loss),
+            "q_loss": fmt_number(report.q_loss),
+            "v_min": fmt_number(report.v_min),
         }
-        if report is not None:
-            doc["metrics"] = {
-                "p_loss": fmt_number(report.p_loss),
-                "q_loss": fmt_number(report.q_loss),
-                "v_min": fmt_number(report.v_min),
-            }
-            if report.luvr is not None:
-                doc["metrics"]["luvr_over_1pct"] = int(
-                    np.sum(report.luvr > 1.0)
-                )
-        return render_json(doc)
-    if format == "csv":
-        columns = ["id", "phase", "v_mag", "angle_deg"]
-        if report is not None and report.epsilon is not None:
-            columns.append("epsilon")
-        if report is not None and report.luvr is not None:
-            columns.append("luvr")
-        return render_csv(columns, _solution_rows(sol, report))
-    raise ValueError(f"unknown format {format!r}")
+        if report.luvr is not None:
+            doc["metrics"]["luvr_over_1pct"] = int(np.sum(report.luvr > 1.0))
+    # CSV leaves out the rectangular parts.
+    return render(doc, ["id", "phase", *list(columns)[2:]], rows, format)

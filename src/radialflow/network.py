@@ -7,11 +7,11 @@ split (A_S, A_M) yields the reduced impedance matrix
 D = A_M^-1 Z A_M^-T, the inverse of the slack-reduced bus admittance. Row k
 of A_M is the branch feeding node k + 1: A_M = S U, S the orientations
 (+-1), U unsigned, and S Z S = Z as Z is block diagonal. So D = U^-1 Z U^-T,
-where U^-1 sums down each node's path from the slack (``path_sums``) and
-U^-T over its subtree (``subtree_sums``), in place: ``path_sums`` a level
-at a time on matrix payloads and one Python walk over the nodes on (m, p)
-ones, ``subtree_sums`` one Python walk on any payload. The bus
-admittance Y = A^T C A is scattered from the per-branch admittance
+where U^-1 sums down each node's path from the slack and U^-T over its
+subtree. ``path_sums`` and ``subtree_sums`` do so in place with one Python
+walk over the nodes per column of a payload, one row per node;
+``reduced_impedance`` walks D's rows itself, a numpy step per node. The
+bus admittance Y = A^T C A is scattered from the per-branch admittance
 blocks, without forming A or any dense product.
 """
 
@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -233,7 +233,8 @@ class TreeInfo:
         """The walk in incidence rows (node k is row k - 1): per depth level
         from 1, its rows (a slice, so a view, when the nodes are listed in
         walk order, as parsed feeders are) and its parents' rows (None for
-        the slack's children)."""
+        the slack's children). Only the three-phase elimination and
+        substitution of linear-simple read it."""
         rows = np.asarray(self.order[1:], dtype=np.intp) - 1
         parents = np.asarray(self.parent, dtype=np.intp)[rows + 1] - 1
         in_walk_order = self.order == tuple(range(len(self.order)))
@@ -441,29 +442,37 @@ def branch_impedance_matrix(
     return _block_diagonal(impedance_blocks(feeder))
 
 
+def _by_column(values: np.ndarray, slack, walk) -> np.ndarray:
+    """Run ``walk`` in place on each column of the rows of ``values`` (row
+    k - 1 is node k), as a list x with x[k] for node k and x[0] the
+    column's entry of ``slack``. Returns ``values``."""
+    rows = values.reshape(len(values), math.prod(values.shape[1:]))
+    columns = rows.T.tolist()
+    for top, column in zip(slack, columns):
+        x = [top, *column]
+        walk(x)
+        column[:] = x[1:]
+    rows.T[...] = columns
+    if not np.may_share_memory(rows, values):  # reshape had to copy
+        values[...] = rows.reshape(values.shape)
+    return values
+
+
 def path_sums(tree: TreeInfo, root, steps: np.ndarray) -> np.ndarray:
     """Down the tree, in place: row k - 1 of ``steps`` (the branch feeding
     node k) becomes ``root`` plus the steps on node k's path from the
     slack, x[k] = x[parent] + steps[k - 1] with x[slack] = root. Returns
-    ``steps``. An (m, p) payload is one Python walk per column, parents
-    first, as a depth level holds too few numbers to repay a numpy call;
-    a matrix payload is one numpy step per depth level."""
-    if steps.ndim == 2:
-        walk, parent = tree.order[1:], tree.parent
-        tops = np.broadcast_to(
-            np.asarray(root, dtype=steps.dtype), steps.shape[1:]
-        ).tolist()
-        columns = steps.T.tolist()
-        for top, column in zip(tops, columns):
-            x = [top, *column]  # x[k] for node k, the slack's being root
-            for node in walk:
-                x[node] += x[parent[node]]
-            column[:] = x[1:]
-        steps.T[...] = columns
-        return steps
-    for rows, parents in tree.schedule:
-        steps[rows] += root if parents is None else steps[parents]
-    return steps
+    ``steps``. One Python walk per column of the rows, parents first, as a
+    depth level holds too few numbers to repay a numpy call."""
+    walk, parent = tree.order[1:], tree.parent
+
+    def down(x):
+        for node in walk:
+            x[node] += x[parent[node]]
+
+    root = np.asarray(root, dtype=steps.dtype)
+    tops = np.broadcast_to(root, steps.shape[1:]).reshape(-1).tolist()
+    return _by_column(steps, tops, down)
 
 
 def subtree_sums(tree: TreeInfo, values: np.ndarray) -> np.ndarray:
@@ -472,18 +481,13 @@ def subtree_sums(tree: TreeInfo, values: np.ndarray) -> np.ndarray:
     walk per column of the rows, deepest level first, adds each node into
     its parent, siblings one after another in walk order."""
     order, parent, levels = tree.order, tree.parent, tree.levels
-    rows = values.reshape(len(values), math.prod(values.shape[1:]))
-    columns = rows.T.tolist()
-    for column in columns:
-        x = [0j, *column]  # x[k] for node k; the slack's is unused
+
+    def up(x):
         for depth in range(len(levels) - 2, 1, -1):
             for node in order[levels[depth]:levels[depth + 1]]:
                 x[parent[node]] += x[node]
-        column[:] = x[1:]
-    rows.T[...] = columns
-    if not np.may_share_memory(rows, values):  # reshape had to copy
-        values[...] = rows.reshape(values.shape)
-    return values
+
+    return _by_column(values, repeat(0j), up)
 
 
 def reduced_impedance(
@@ -492,17 +496,27 @@ def reduced_impedance(
     """Compute D = A_M^-1 Z A_M^-T.
 
     A_M = S U with S the branch orientations, and S Z S = Z as Z is block
-    diagonal and each s_k^2 = 1: D = U^-1 Z U^-T, two ``path_sums`` with
-    no sign applied, in O(n^2) for any node order. Both run in place on
-    the block-diagonal Z, on its rows and then on its columns, so D is
-    the only (np)^2 array and is never inverted explicitly. U is read
-    from ``feeder.tree``, so ``inc`` is unused and may be None.
+    diagonal and each s_k^2 = 1: D = U^-1 Z U^-T, two path sums with no
+    sign applied, in O(n^2) for any node order. Both walk the tree in
+    place on the block-diagonal Z, a numpy step per node, on its rows and
+    then on its columns, so D is the only (np)^2 array and is never
+    inverted explicitly. U is read from ``feeder.tree``, so ``inc`` is
+    unused and may be None.
     """
-    m, p = len(feeder.tree.branches), feeder.phase_count
+    tree, p = feeder.tree, feeder.phase_count
+    m = len(tree.branches)
     x = branch_impedance_matrix(inc, feeder)
     # Rows of x, then rows of x^T: x = U^-1 Z, then x^T = U^-1 (U^-1 Z)^T.
-    path_sums(feeder.tree, 0.0, x.reshape(m, p, m * p))
-    path_sums(feeder.tree, 0.0, x.reshape(m * p, m, p).transpose(1, 2, 0))
+    # Parents first, each node's row gains its parent's; the slack's
+    # children keep theirs.
+    for rows in (
+        x.reshape(m, p, m * p),
+        x.reshape(m * p, m, p).transpose(1, 2, 0),
+    ):
+        for node in tree.order[1:]:
+            up = tree.parent[node]
+            if up:
+                rows[node - 1] += rows[up - 1]
     return ReducedImpedance(d=x)
 
 

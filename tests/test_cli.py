@@ -10,6 +10,7 @@ import pytest
 import radialflow
 from radialflow import (
     BfsOptions,
+    LinearizationPoint,
     network,
     node_errors,
     solve_bfs,
@@ -195,6 +196,45 @@ class TestUnusableInput:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, text", [
+        *(("--tolerance", text) for text in (
+            "1e-8", "1", "1_000", "5e-324", "1e-400", "0", "-0.0", "-1",
+            "inf", "-inf", "nan", "1e400", "tiny", "", "0x10",
+        )),
+        *(("--max-iterations", text) for text in (
+            "1", "100", "+7", " 5", "0", "-3", "2.5", "1e3", "inf", "",
+        )),
+        *(("--v0", text) for text in (
+            "1.05", "1.05+0j", "(1+2j)", "-1", "1j", "1e-320", "0", "0j",
+            "-0-0j", "nan", "inf", "1e400", "nanj", "abc", "",
+        )),
+    ])
+    def test_flags_are_rejected_exactly_where_the_option_types_reject(
+        self, valid_file, capsys, flag, text
+    ):
+        # One owner per rule: the CLI turns the text into a number, and
+        # BfsOptions or LinearizationPoint decides whether it is allowed.
+        build = {
+            "--tolerance": lambda: BfsOptions(tolerance=float(text)),
+            "--max-iterations": lambda: BfsOptions(max_iterations=int(text)),
+            "--v0": lambda: LinearizationPoint((complex(text),)),
+        }[flag]
+        try:
+            build()
+            rejected = False
+        except ValueError:
+            rejected = True
+        # linear-simple reads none of these flags, so only the flag's own
+        # check can make the run fail.
+        try:
+            code = main(["solve", valid_file, f"{flag}={text}"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == (2 if rejected else 0)
+        if rejected:
+            assert f"argument {flag}: " in captured.err
+
     @pytest.fixture
     def undecodable_file(self, tmp_path):
         path = tmp_path / "latin1.json"
@@ -269,6 +309,69 @@ def test_one_topology_pass_per_feeder_object(monkeypatch, capsys, command):
     assert main([command, str(path)]) == 0
     assert calls["validate_radial"] <= 2
     assert calls["tree_structure"] <= 2
+
+
+def _overflowing_file(tmp_path, **parts) -> str:
+    path = tmp_path / "overflow.json"
+    path.write_text(serialize_feeder(two_bus_feeder(**parts)))
+    return str(path)
+
+
+OVERFLOWING_LOAD = {"s_p": 1e308 + 1e308j}
+OVERFLOWING_SLACK = {"v_s": 1e308 + 1e308j}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+class TestNonFiniteResult:
+    """A result that overflows to inf or NaN is a solver error: JSON holds
+    no such number, and a CSV row of it is no result either."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("parts, command", [
+        (OVERFLOWING_LOAD, ["solve"]),
+        (OVERFLOWING_LOAD, ["solve", "--method", "linear-full"]),
+        (OVERFLOWING_LOAD, ["compare"]),
+        (OVERFLOWING_LOAD, ["metrics"]),
+        (OVERFLOWING_SLACK, ["solve", "--method", "linear-full"]),
+        (OVERFLOWING_SLACK, ["compare"]),
+        (OVERFLOWING_SLACK, ["metrics"]),
+    ])
+    def test_is_a_solver_error(self, tmp_path, capsys, parts, command, fmt):
+        # In-process, where the test settings turn a numpy RuntimeWarning
+        # into an error.
+        argv = [command[0], _overflowing_file(tmp_path, **parts),
+                *command[1:], "--format", fmt]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver error: ")
+        assert captured.err.count("\n") == 1
+        out = tmp_path / "out"
+        assert main([*argv, "-o", str(out)]) == 3
+        assert not out.exists()
+        capsys.readouterr()
+
+    def test_is_one_line_on_stderr(self, tmp_path):
+        path = _overflowing_file(tmp_path, **OVERFLOWING_SLACK)
+        proc = run_cli("metrics", path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "solver error: result is not finite: nan\n"
+
+    @pytest.mark.parametrize("method", ["linear-simple", "bfs"])
+    def test_finite_result_at_the_float_range_is_written(
+        self, tmp_path, capsys, method
+    ):
+        # Both voltages are 1e308+1e308j and the losses zero: all finite.
+        path = _overflowing_file(tmp_path, **OVERFLOWING_SLACK)
+        assert main(["solve", path, "--method", method]) == 0
+        doc = json.loads(
+            capsys.readouterr().out, parse_constant=_reject_constant
+        )
+        assert doc["metrics"]["v_min"] == pytest.approx(2**0.5 * 1e308)
 
 
 class TestDeterminism:
@@ -355,6 +458,17 @@ class TestSolveCommand:
         assert main(["solve", valid_file, "-o", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["method"] == "linear-simple"
+
+    def test_linear_full_singular_system_is_one_solver_error(self, tmp_path):
+        # z = 0.5 and s_z = -2 make the system matrix exactly zero.
+        path = tmp_path / "singular.json"
+        feeder = two_bus_feeder(z=0.5 + 0j, s_z=-2 + 0j)
+        path.write_text(serialize_feeder(feeder))
+        proc = run_cli("solve", str(path), "--method", "linear-full")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("solver error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestCompareCommand:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import radialflow
 from radialflow import (
     BfsOptions,
     ParseError,
+    SingularError,
     ValidationError,
     build_incidence,
     node_errors,
@@ -25,6 +27,7 @@ from radialflow import (
     write_solution,
 )
 from radialflow.cli import main
+from radialflow.io import node_rows
 from helpers import perfbench_gen, random_radial_feeder, shuffled
 
 MINIMAL = """
@@ -262,6 +265,26 @@ class TestWriteSolution:
         _, lin, _, report = self._solved()
         with pytest.raises(ValueError):
             write_solution(lin, report, "yaml")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_number_is_a_solver_error(self, fmt):
+        _, lin, _, report = self._solved()
+        voltages = lin.voltages.copy()
+        voltages[1] = complex(math.inf, 0.0)
+        with pytest.raises(SingularError, match="not finite"):
+            write_solution(replace(lin, voltages=voltages), report, fmt)
+        # Also a number that only the JSON document holds.
+        report = replace(report, p_loss=math.nan)
+        with pytest.raises(SingularError, match="not finite"):
+            write_solution(lin, report, fmt)
+
+    def test_node_rows_share_a_per_node_column_across_phases(self):
+        rows = node_rows(("1", "2"), 3, v=list(range(6)), luvr=[0.5, 1 / 3])
+        assert [row["phase"] for row in rows] == ["a", "b", "c"] * 2
+        assert [row["v"] for row in rows] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        luvr = [0.5] * 3 + [0.333333333333] * 3
+        assert [row["luvr"] for row in rows] == luvr
+        assert list(rows[0]) == ["id", "phase", "v", "luvr"]
 
     def test_luvr_column_present_for_three_phase(self):
         feeder = radialflow.example_feeder("unbalanced_ten_bus")

@@ -28,6 +28,8 @@ from radialflow import (
     solve_bfs,
     solve_linear,
     solve_linear_full,
+    summarize,
+    v_min,
 )
 from radialflow.loads import PHASE_ROTATIONS
 from helpers import (
@@ -393,6 +395,28 @@ class TestSolveLinearFull:
         point = LinearizationPoint.for_feeder(feeder)
         assert point.phasors == (1.04 + 0j,)
 
+    def test_singular_system_is_a_singular_error(self):
+        # I + h^2 D conj(s_z) = 1 + 0.5 * -2 = 0 and the linearization
+        # point is the slack voltage: the stacked real system is all zero.
+        feeder = two_bus_feeder(z=0.5 + 0j, s_z=-2 + 0j)
+        with pytest.raises(SingularError):
+            solve_linear_full(feeder)
+
+    def test_solve_takes_a_linearization_point(self):
+        feeder = radialflow.example_feeder("unbalanced_ten_bus")
+        point = LinearizationPoint.from_scalar(1.02, 3)
+        by_point = solve(feeder, "linear-full", v0=point)
+        assert np.array_equal(
+            by_point.voltages, solve(feeder, "linear-full", v0=1.02).voltages
+        )
+        default = LinearizationPoint.for_feeder(feeder)
+        assert np.array_equal(
+            solve(feeder, "linear-full", v0=default).voltages,
+            solve(feeder, "linear-full").voltages,
+        )
+        with pytest.raises(ValueError, match="1 phasors for a 3-phase"):
+            solve(feeder, "linear-full", v0=LinearizationPoint((1.02 + 0j,)))
+
 
 class TestThreePhase:
     def _balanced_pair(self, rng):
@@ -512,3 +536,15 @@ def test_overflowing_voltage_scale_is_a_solver_error(name, method):
     feeder = replace(radialflow.example_feeder(name), v_base=1e-300)
     with pytest.raises((SingularError, ConvergenceError)):
         solve(feeder, method)
+
+
+@pytest.mark.parametrize("phase_count", [1, 3])
+@pytest.mark.parametrize("method", ["linear-simple", "linear-full", "bfs"])
+def test_slack_only_feeder(phase_count, method):
+    feeder = Feeder("slack", phase_count, ("1",), 1.02 + 0j, ())
+    sol = solve(feeder, method)
+    assert np.array_equal(sol.voltages, feeder.slack_phasors())
+    report = summarize(sol, None, feeder)
+    assert (report.p_loss, report.q_loss) == (0.0, 0.0)
+    assert report.v_min == v_min(sol) == pytest.approx(1.02)
+    assert residual(feeder, sol) == 0.0

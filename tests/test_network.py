@@ -22,6 +22,7 @@ from radialflow import (
     ybus,
 )
 from radialflow.network import (
+    branch_impedance_matrix,
     impedance_blocks,
     in_walk_order,
     path_sums,
@@ -374,6 +375,41 @@ class TestWalkKernels:
                 expected = solve_bfs(feeder, opts)
             assert sol.iterations == expected.iterations
             assert np.array_equal(sol.voltages, expected.voltages)
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_reduced_impedance_matches_the_per_level_passes(
+        self, phase_count
+    ):
+        rng = np.random.default_rng(50 + phase_count)
+        p = phase_count
+        feeders = [
+            random_radial_feeder(rng, int(rng.integers(2, 60)), p)
+            for _ in range(4)
+        ]
+        feeders += [shuffled(rng, f, flip=0.5) for f in feeders]
+        feeders.append(random_radial_feeder(
+            rng, 120, p, edges=[(k - 1, k) for k in range(1, 120)]
+        ))
+        feeders.append(random_radial_feeder(
+            rng, 40, p, edges=[(0, k) for k in range(1, 40)]
+        ))
+        for feeder in feeders:
+            m, tree = len(feeder.nodes) - 1, feeder.tree
+            x = branch_impedance_matrix(None, feeder)
+            level_path_sums(tree, 0.0, x.reshape(m, p, m * p))
+            level_path_sums(
+                tree, 0.0, x.reshape(m * p, m, p).transpose(1, 2, 0)
+            )
+            assert np.array_equal(reduced_impedance(None, feeder).d, x)
+
+    def test_single_phase_solves_build_no_level_schedule(self):
+        rng = np.random.default_rng(55)
+        feeder = shuffled(rng, random_radial_feeder(rng, 40, profile="zip"))
+        for method in ("linear-simple", "linear-full", "bfs"):
+            sol = radialflow.solve(feeder, method)
+            radialflow.summarize(sol, None, feeder)
+            radialflow.residual(feeder, sol)
+        assert "schedule" not in vars(feeder.tree)
 
 
 class TestYbus:
