@@ -5,9 +5,9 @@ at the present voltages) with a forward sweep (drop each node's voltage from
 its parent's through the branch impedance) until the largest voltage update
 is under the tolerance. V = V_s - U^-1 Z U^-T I(V) runs on the tree kernels
 of the reduced impedance D: O(n p^2) arithmetic per iteration, each sweep one
-Python walk over the nodes per phase. Delta loads are evaluated against the
-iterate's line voltages, so the fixed point satisfies the exact nodal
-equations.
+Python walk over the nodes per phase, and a fixed number of numpy calls
+around them. Delta loads are evaluated against the iterate's line voltages,
+so the fixed point satisfies the exact nodal equations.
 """
 
 from __future__ import annotations
@@ -61,15 +61,20 @@ def solve_bfs(feeder: Feeder, opts: BfsOptions | None = None) -> Solution:
     for iterations in range(1, opts.max_iterations + 1):
         injections = nodal_injections(feeder, voltages).reshape(n, p)
         # Backward: the current each non-slack node's subtree draws through
-        # the branch feeding it, incidence row k - 1 for node k.
+        # the branch feeding it, incidence row k - 1 for node k. Summing the
+        # injections as they are, and walking down the drops unnegated,
+        # would turn some -0.0 voltage parts into +0.0.
         into_subtree = subtree_sums(tree, -injections[1:])
         drops = (z @ into_subtree[:, :, None])[..., 0]
         # Forward: drop each node's voltage from its parent's.
         below = path_sums(tree, slack, -drops)
         updated = np.concatenate([slack, below.ravel()])
-        shift = float(np.max(np.abs(updated - voltages))) if n > 1 else 0.0
+        shift = float(abs(updated - voltages).max())
         voltages = updated
-        if not np.all(np.isfinite(voltages)):
+        # A voltage that is not finite makes the shift inf or NaN: the last
+        # iterate passed this check, or is the flat start, which shares the
+        # update's slack entries. So only then are the voltages checked.
+        if not math.isfinite(shift) and not np.isfinite(voltages).all():
             raise ConvergenceError(
                 f"voltages diverged after {iterations} iterations",
                 last_solution=_solution(feeder, voltages, iterations, False),

@@ -321,10 +321,18 @@ def solve_linear_full(
     method non-iterative.
     """
     point = _resolve_v0(feeder, v0)
+    with np.errstate(over="ignore"):
+        expansions = [linearize_vsq(phasor) for phasor in point.phasors]
+    if not all(np.isfinite(c_0) for *_, c_0 in expansions):
+        # The dense system holds c_0 = -|v0|^2 itself, so it has no room
+        # for a point beyond the square root of the largest float.
+        raise SingularError(
+            "|v0|^2 of the linearization point overflows: |v0| = "
+            f"{max(map(abs, point.phasors)):.3e}"
+        )
     sys_a, p_base, i_base, rho, a_vec = _system_parts(feeder)
     c_v, c_vbar, c_0 = (
-        _per_unknown(coefficient, feeder)
-        for coefficient in zip(*map(linearize_vsq, point.phasors))
+        _per_unknown(coefficient, feeder) for coefficient in zip(*expansions)
     )
 
     # Rows live in voltage-squared units: the conjugate-voltage expansion of

@@ -3,7 +3,9 @@
 Load powers are consumption-positive throughout: a load with positive real
 part draws power, and the corresponding nodal current injection carries a
 minus sign. Per-unit analysis uses voltage scale h = 1 (h = 1/V_base when a
-feeder declares a physical voltage base).
+feeder declares a physical voltage base). A load table keeps, per loaded
+slot, the factors of its current that do not depend on the voltage, so an
+injection evaluation is the voltage-dependent arithmetic alone.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -112,11 +115,18 @@ def drop_zero_loads(loads: Iterable[ZipLoad]) -> tuple[ZipLoad, ...]:
     return tuple(kept)
 
 
-def _slots(stack: np.ndarray) -> tuple:
-    """Rows and columns of the loaded slots of a (3, n, k) stack, and their
-    conjugated (s_z, s_i, s_p), shape (3, count)."""
+def _slots(stack: np.ndarray, h: float, rotation: np.ndarray) -> tuple:
+    """Rows and columns of the loaded slots of a (3, n, k) stack, and the
+    voltage-independent factors of their ZIP current: h^2 s_z*,
+    h s_i* rotation and s_p*, three arrays of the slot count, for voltage
+    scale ``h`` and one nominal phasor per column in ``rotation``."""
     rows, cols = np.nonzero(np.any(stack != 0, axis=0))
-    return rows, cols, np.conjugate(stack[:, rows, cols])
+    s_z, s_i, s_p = stack[:, rows, cols]
+    # An overflowing h gives non-finite factors, not warnings.
+    with np.errstate(all="ignore"):
+        z = h * h * np.conjugate(s_z)
+        i = h * np.conjugate(s_i) * rotation[cols]
+    return rows, cols, z, i, np.conjugate(s_p)
 
 
 @dataclass(frozen=True)
@@ -124,21 +134,38 @@ class LoadTable:
     """A feeder's loads summed per slot as consumption-positive (s_z, s_i,
     s_p) stacks: ``wye`` per node and phase, shape (3, n, p), and ``delta``
     per node and leg ab/bc/ca, shape (3, n, 3), or None on single-phase
-    feeders. Both stacks are read-only; ``wye_slots`` and ``delta_slots``
-    hold their loaded slots as ``_slots`` gives them."""
+    feeders. Both stacks are read-only. ``wye_slots`` and ``delta_slots``
+    hold their loaded slots and those slots' load factors at voltage scale
+    ``h``, as ``_slots`` gives them, computed once on first use: the wye
+    slots at h with the phase rotations, the delta legs at h/sqrt(3) with
+    the line rotations, as they see the line voltages, so leg powers stay
+    on the same per-unit base as wye powers."""
 
     wye: np.ndarray
     delta: np.ndarray | None
-    wye_slots: tuple
-    delta_slots: tuple | None
+    h: float
+
+    @cached_property
+    def wye_slots(self) -> tuple:
+        return _slots(self.wye, self.h, _ROTATIONS)
+
+    @cached_property
+    def delta_slots(self) -> tuple | None:
+        if self.delta is None:
+            return None
+        return _slots(self.delta, self.h / math.sqrt(3), _LINE_ROTATIONS)
 
 
 def load_table(
-    loads: Iterable[ZipLoad], nodes: Sequence[NodeId], phase_count: int
+    loads: Iterable[ZipLoad],
+    nodes: Sequence[NodeId],
+    phase_count: int,
+    h: float,
 ) -> LoadTable:
     """Sum the loads into their slots, so loads sharing a slot add up: one
     pass over the loads, then one unbuffered add into a table whose delta
-    rows follow the wye rows."""
+    rows follow the wye rows. The table's load factors are taken at
+    voltage scale ``h``."""
     index = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
     rows = 2 * n if phase_count == 3 else n
@@ -158,9 +185,7 @@ def load_table(
     table.flags.writeable = False
     table = table.reshape(3, rows, phase_count)
     wye, delta = table[:, :n], table[:, n:] if phase_count == 3 else None
-    return LoadTable(
-        wye, delta, _slots(wye), None if delta is None else _slots(delta)
-    )
+    return LoadTable(wye, delta, h)
 
 
 _WYE_COLLAPSE = "voltage magnitude {mag:.3e} at node {node}"
@@ -168,52 +193,41 @@ _DELTA_COLLAPSE = "line voltage magnitude {mag:.3e} on leg {leg} at node {node}"
 
 
 def _draw(
-    slots: tuple,
-    v: np.ndarray,
-    h: float,
-    rotation: np.ndarray,
-    nodes: Sequence[NodeId],
-    collapse: str,
+    slots: tuple, v: np.ndarray, nodes: Sequence[NodeId], collapse: str
 ) -> np.ndarray:
-    """Consumption-positive ZIP current h^2 s_z* v + h s_i* rotation
-    + s_p* / conj(v) at each of the loaded ``slots``, zero elsewhere, for
-    voltages ``v`` of shape (n, k); ``rotation`` holds one nominal phasor per
-    column. A loaded slot at or below COLLAPSE_TOLERANCE raises
-    VoltageCollapseError described by the ``collapse`` template; an
-    overflowing ``h`` yields non-finite values, not warnings."""
-    rows, cols, (s_z, s_i, s_p) = slots
+    """Consumption-positive ZIP current z v + i + p / conj(v) at each of
+    the loaded ``slots``, with their factors (z, i, p) from ``_slots``, zero
+    elsewhere, for voltages ``v`` of shape (n, k). A loaded slot at or
+    below COLLAPSE_TOLERANCE raises VoltageCollapseError described by the
+    ``collapse`` template. Run under ``np.errstate(all="ignore")``, so that
+    overflowing factors yield non-finite values, not warnings."""
+    rows, cols, z, i, p = slots
     v_loaded = v[rows, cols]
-    low = np.abs(v_loaded) <= COLLAPSE_TOLERANCE
-    if np.any(low):
-        k = int(np.argmax(low))
+    low = abs(v_loaded) <= COLLAPSE_TOLERANCE
+    if low.any():
+        k = int(low.argmax())
         where = collapse.format(
             mag=abs(v_loaded[k]), node=nodes[rows[k]], leg=_LEG_NAMES[cols[k]]
         )
         raise VoltageCollapseError(f"{where} is below {COLLAPSE_TOLERANCE:g}")
     draw = np.zeros(v.shape, dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        draw[rows, cols] = (
-            h * h * s_z * v_loaded
-            + h * s_i * rotation[cols]
-            + s_p / np.conjugate(v_loaded)
-        )
+    draw[rows, cols] = z * v_loaded + i + p / np.conjugate(v_loaded)
     return draw
 
 
 def _injections(
-    table: LoadTable, v: np.ndarray, h: float, nodes: Sequence[NodeId]
+    table: LoadTable, v: np.ndarray, nodes: Sequence[NodeId]
 ) -> np.ndarray:
     """Current injections, shape (n, p), of ``table`` at phase voltages
-    ``v`` of the same shape. Delta legs are evaluated on the line voltages
-    with the voltage scale reduced by sqrt(3), so leg powers stay on the
-    same per-unit base as wye powers, then mapped back to their phases."""
-    draw = _draw(table.wye_slots, v, h, _ROTATIONS, nodes, _WYE_COLLAPSE)
-    if table.delta_slots is not None:
-        v_line = v @ LINE_TRANSFORM.T
-        draw += _draw(
-            table.delta_slots, v_line, h / math.sqrt(3), _LINE_ROTATIONS, nodes,
-            _DELTA_COLLAPSE,
-        ) @ LINE_TRANSFORM
+    ``v`` of the same shape. Delta legs are evaluated on the line voltages,
+    then mapped back to their phases."""
+    with np.errstate(all="ignore"):
+        draw = _draw(table.wye_slots, v, nodes, _WYE_COLLAPSE)
+        if table.delta_slots is not None:
+            v_line = v @ LINE_TRANSFORM.T
+            draw += _draw(
+                table.delta_slots, v_line, nodes, _DELTA_COLLAPSE
+            ) @ LINE_TRANSFORM
     return -draw
 
 
@@ -228,10 +242,10 @@ def injection_current(
     single-phase analysis).
     """
     s = np.array([load.s_z, load.s_i, load.s_p]).reshape(3, 1, 1)
-    draw = _draw(
-        _slots(s), np.array([[v]], dtype=np.complex128), h, np.array([rotation]),
-        (load.node,), _WYE_COLLAPSE,
-    )
+    slots = _slots(s, h, np.array([rotation]))
+    v_node = np.array([[v]], dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        draw = _draw(slots, v_node, (load.node,), _WYE_COLLAPSE)
     return -complex(draw[0, 0])
 
 
@@ -248,7 +262,7 @@ def delta_to_wye_injections(
         raise ValueError("only delta loads belong in delta legs")
     nodes = tuple(dict.fromkeys(load.node for load in loads))
     v = np.broadcast_to(v_abc, (len(nodes), 3))
-    return _injections(load_table(loads, nodes, 3), v, h, nodes).sum(axis=0)
+    return _injections(load_table(loads, nodes, 3, h), v, nodes).sum(axis=0)
 
 
 def load_vectors(feeder: Feeder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -274,5 +288,5 @@ def nodal_injections(feeder: Feeder, voltages: np.ndarray) -> np.ndarray:
     """
     p = feeder.phase_count
     v = np.asarray(voltages, dtype=np.complex128).reshape(-1, p)
-    injections = _injections(feeder.load_table, v, feeder.h, feeder.nodes)
+    injections = _injections(feeder.load_table, v, feeder.nodes)
     return injections.reshape(-1)

@@ -9,7 +9,9 @@ of A_M is the branch feeding node k + 1: A_M = S U, S the orientations
 (+-1), U unsigned, and S Z S = Z as Z is block diagonal. So D = U^-1 Z U^-T,
 where U^-1 sums down each node's path from the slack and U^-T over its
 subtree. ``path_sums`` and ``subtree_sums`` do so in place with one Python
-walk over the nodes per column of a payload, one row per node;
+walk per column of a payload, one row per node, over flat (node, parent)
+sequences each tree builds once (``TreeInfo.downward`` and ``upward``),
+converting the payload to Python lists and back once per call;
 ``reduced_impedance`` walks D's rows itself, a numpy step per node. The
 bus admittance Y = A^T C A is scattered from the per-branch admittance
 blocks, without forming A or any dense product.
@@ -21,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -167,8 +169,9 @@ class Feeder:
     @cached_property
     def load_table(self) -> LoadTable:
         """The loads summed per node and phase (wye) and per node and leg
-        (delta), computed once per feeder object on first use."""
-        return load_table(self.loads, self.nodes, self.phase_count)
+        (delta), with the load factors of their slots at voltage scale
+        ``h``, computed once per feeder object on first use."""
+        return load_table(self.loads, self.nodes, self.phase_count, self.h)
 
     @property
     def h(self) -> float:
@@ -227,6 +230,26 @@ class TreeInfo:
     branches: tuple[Branch, ...]
     ends: np.ndarray
     levels: tuple[int, ...]
+
+    @cached_property
+    def downward(self) -> tuple:
+        """The walk of ``path_sums`` as flat (nodes, parents) tuples, built
+        once per tree: every non-slack node in walk order, parents
+        first."""
+        nodes = self.order[1:]
+        return nodes, tuple(map(self.parent.__getitem__, nodes))
+
+    @cached_property
+    def upward(self) -> tuple:
+        """The walk of ``subtree_sums`` as flat (nodes, parents) tuples,
+        built once per tree: the nodes below depth 1 from the deepest level
+        up, each level in walk order."""
+        order, levels = self.order, self.levels
+        nodes = tuple(chain.from_iterable(
+            order[levels[depth]:levels[depth + 1]]
+            for depth in range(len(levels) - 2, 1, -1)
+        ))
+        return nodes, tuple(map(self.parent.__getitem__, nodes))
 
     @cached_property
     def schedule(self) -> tuple:
@@ -442,19 +465,24 @@ def branch_impedance_matrix(
     return _block_diagonal(impedance_blocks(feeder))
 
 
-def _by_column(values: np.ndarray, slack, walk) -> np.ndarray:
-    """Run ``walk`` in place on each column of the rows of ``values`` (row
-    k - 1 is node k), as a list x with x[k] for node k and x[0] the
-    column's entry of ``slack``. Returns ``values``."""
-    rows = values.reshape(len(values), math.prod(values.shape[1:]))
-    columns = rows.T.tolist()
-    for top, column in zip(slack, columns):
-        x = [top, *column]
-        walk(x)
-        column[:] = x[1:]
-    rows.T[...] = columns
-    if not np.may_share_memory(rows, values):  # reshape had to copy
-        values[...] = rows.reshape(values.shape)
+def _walk(
+    values: np.ndarray, root, targets: tuple, sources: tuple
+) -> np.ndarray:
+    """Run x[target] += x[source] over the pairs of ``targets`` and
+    ``sources`` in turn, in place on each column of the rows of ``values``,
+    with x[k] the column's entry in row k - 1 (node k) and x[0] its entry
+    of ``root``, broadcast over the rows' shape. Returns ``values``."""
+    m = len(values)
+    x = np.empty((m + 1, *values.shape[1:]), dtype=values.dtype)
+    x[0] = root
+    x[1:] = values
+    flat = x.reshape(m + 1, -1)
+    columns = flat.T.tolist()
+    for column in columns:
+        for target, source in zip(targets, sources):
+            column[target] += column[source]
+    flat.T[...] = columns
+    values[...] = x[1:]
     return values
 
 
@@ -462,32 +490,21 @@ def path_sums(tree: TreeInfo, root, steps: np.ndarray) -> np.ndarray:
     """Down the tree, in place: row k - 1 of ``steps`` (the branch feeding
     node k) becomes ``root`` plus the steps on node k's path from the
     slack, x[k] = x[parent] + steps[k - 1] with x[slack] = root. Returns
-    ``steps``. One Python walk per column of the rows, parents first, as a
-    depth level holds too few numbers to repay a numpy call."""
-    walk, parent = tree.order[1:], tree.parent
-
-    def down(x):
-        for node in walk:
-            x[node] += x[parent[node]]
-
-    root = np.asarray(root, dtype=steps.dtype)
-    tops = np.broadcast_to(root, steps.shape[1:]).reshape(-1).tolist()
-    return _by_column(steps, tops, down)
+    ``steps``. One Python walk per column of the rows over
+    ``tree.downward``, as a depth level holds too few numbers to repay a
+    numpy call."""
+    nodes, parents = tree.downward
+    return _walk(steps, root, nodes, parents)
 
 
 def subtree_sums(tree: TreeInfo, values: np.ndarray) -> np.ndarray:
     """Up the tree, in place: row k - 1 of ``values`` (node k) becomes the
     sum of ``values`` over node k's subtree. Returns ``values``. One Python
-    walk per column of the rows, deepest level first, adds each node into
-    its parent, siblings one after another in walk order."""
-    order, parent, levels = tree.order, tree.parent, tree.levels
-
-    def up(x):
-        for depth in range(len(levels) - 2, 1, -1):
-            for node in order[levels[depth]:levels[depth + 1]]:
-                x[parent[node]] += x[node]
-
-    return _by_column(values, repeat(0j), up)
+    walk per column of the rows over ``tree.upward``: deepest level first,
+    each node added into its parent, siblings one after another in walk
+    order."""
+    nodes, parents = tree.upward
+    return _walk(values, 0, parents, nodes)
 
 
 def reduced_impedance(

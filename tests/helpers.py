@@ -9,6 +9,7 @@ oracle iterates the scalar voltage equation directly.
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 
 import radialflow
 from radialflow import Branch, Feeder, ZipLoad, reduced_impedance
-from radialflow.loads import PHASE_ROTATIONS, load_vectors
+from radialflow.loads import LINE_TRANSFORM, PHASE_ROTATIONS, load_vectors
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -175,6 +176,45 @@ def level_subtree_sums(tree, values: np.ndarray) -> np.ndarray:
     for rows, parents in reversed(tree.schedule[1:]):
         np.add.at(values, parents, values[rows])
     return values
+
+
+_ROTATIONS = np.array(PHASE_ROTATIONS)
+_LINE_ROTATIONS = (_ROTATIONS - np.roll(_ROTATIONS, -1)) / math.sqrt(3)
+
+
+def unfactored_draw(
+    stack: np.ndarray, v: np.ndarray, h: float, rotation: np.ndarray
+) -> np.ndarray:
+    """Oracle for the consumption-positive ZIP current of a (3, n, k)
+    (s_z, s_i, s_p) stack at voltages ``v`` of shape (n, k): at each loaded
+    slot, h^2 s_z* v + h s_i* rotation[k] + s_p* / conj(v) with every
+    factor formed from the stack on this call; zero elsewhere."""
+    rows, cols = np.nonzero(np.any(stack != 0, axis=0))
+    s_z, s_i, s_p = np.conjugate(stack[:, rows, cols])
+    v_loaded = v[rows, cols]
+    draw = np.zeros(v.shape, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        draw[rows, cols] = (
+            h * h * s_z * v_loaded
+            + h * s_i * rotation[cols]
+            + s_p / np.conjugate(v_loaded)
+        )
+    return draw
+
+
+def unfactored_injections(table, v: np.ndarray, h: float) -> np.ndarray:
+    """Oracle for the current injections, shape (n, p), of a load table at
+    phase voltages ``v`` of that shape: ``unfactored_draw`` on the wye
+    stack, plus on the delta stack at the line voltages with h / sqrt(3)
+    and the line rotations, mapped back to the phases; negated."""
+    draw = unfactored_draw(table.wye, v, h, _ROTATIONS)
+    if table.delta is not None:
+        line = unfactored_draw(
+            table.delta, v @ LINE_TRANSFORM.T, h / math.sqrt(3),
+            _LINE_ROTATIONS,
+        )
+        draw += line @ LINE_TRANSFORM
+    return -draw
 
 
 def perfbench_gen():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import radialflow.bfs
 from radialflow import (
     BfsOptions,
     Branch,
@@ -18,6 +19,7 @@ from radialflow import (
     solve_bfs,
     solve_linear,
 )
+from radialflow.loads import nodal_injections
 from helpers import (
     chain_feeder,
     random_radial_feeder,
@@ -143,6 +145,55 @@ class TestSolveBfs:
         feeder = two_bus_feeder()
         sol = solve_bfs(feeder, BfsOptions(max_iterations=np.int64(50)))
         assert sol.converged
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_one_injection_evaluation_per_iteration(
+        self, phase_count, monkeypatch
+    ):
+        calls = []
+
+        def counted(feeder, voltages):
+            calls.append(len(voltages))
+            return nodal_injections(feeder, voltages)
+
+        monkeypatch.setattr(radialflow.bfs, "nodal_injections", counted)
+        rng = np.random.default_rng(70 + phase_count)
+        for _ in range(5):
+            feeder = random_radial_feeder(
+                rng, int(rng.integers(2, 40)), phase_count, profile="zip"
+            )
+            calls.clear()
+            sol = solve_bfs(feeder, BfsOptions(tolerance=1e-10))
+            assert len(calls) == sol.iterations
+            calls.clear()
+            with pytest.raises(ConvergenceError) as excinfo:
+                solve_bfs(feeder, BfsOptions(1e-300, max_iterations=2))
+            assert len(calls) == excinfo.value.last_solution.iterations == 2
+
+    @pytest.mark.parametrize("z", [
+        0.01 + 0.02j,
+        tuple(
+            tuple(0.01 + 0.02j if i == j else 0.004j for j in range(3))
+            for i in range(3)
+        ),
+    ], ids=["1", "3"])
+    def test_a_non_finite_update_is_divergence(self, z):
+        # h * h overflows, so the first update is NaN.
+        load = ZipLoad(node="2", s_z=0.1 + 0j)
+        feeder = replace(chain_feeder(3, z, loads=(load,)), v_base=1e-300)
+        with pytest.raises(
+            ConvergenceError, match="voltages diverged after 1 iterations"
+        ) as excinfo:
+            solve_bfs(feeder)
+        last = excinfo.value.last_solution
+        assert not last.converged
+        assert not np.all(np.isfinite(last.voltages))
+
+    @pytest.mark.parametrize("v_s", [complex(-1, -0.0), complex(-0.0, 1)])
+    def test_unloaded_nodes_keep_the_slack_bits(self, v_s):
+        # Signed zeros included: an angle of -180 degrees stays -180.
+        sol = solve_bfs(chain_feeder(3, 0.01 + 0.02j, v_s=v_s))
+        assert sol.voltages.tobytes() == np.full(3, v_s).tobytes()
 
     def test_three_phase_delta_converges(self):
         import radialflow

@@ -361,6 +361,24 @@ class TestNonFiniteResult:
         assert proc.stdout == ""
         assert proc.stderr == "solver error: result is not finite: nan\n"
 
+    @pytest.mark.parametrize("v_s, flags", [
+        (1.5e154, []), (1.0, ["--v0", "1.5e154"]),
+    ])
+    def test_overflowing_linearization_point_is_named(
+        self, tmp_path, capsys, v_s, flags
+    ):
+        path = _overflowing_file(tmp_path, v_s=v_s)
+        assert main(["solve", path, "--method", "linear-full", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "solver error: |v0|^2 of the linearization point overflows: "
+            "|v0| = 1.500e+154\n"
+        )
+        for method in ("linear-simple", "bfs"):
+            assert main(["solve", path, "--method", method]) == 0
+            capsys.readouterr()
+
     @pytest.mark.parametrize("method", ["linear-simple", "bfs"])
     def test_finite_result_at_the_float_range_is_written(
         self, tmp_path, capsys, method

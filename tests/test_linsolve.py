@@ -526,6 +526,34 @@ def test_linearization_point_rejects_non_finite_phasors(value):
         solve(two_bus_feeder(), "linear-full", v0=value)
 
 
+_Z3 = tuple(
+    tuple(0.01 + 0.02j if i == j else 0.004j for j in range(3))
+    for i in range(3)
+)
+
+
+@pytest.mark.parametrize("z", [0.01 + 0.02j, _Z3], ids=["1", "3"])
+@pytest.mark.parametrize("v_s, v0", [(1.5e154, None), (1.0, 1.5e154)])
+def test_overflowing_linearization_point_is_named(z, v_s, v0):
+    # c_0 = -|v0|^2 overflows past about 1.34e154, where the other methods
+    # still solve the feeder.
+    feeder = chain_feeder(3, z, v_s=v_s, loads=(ZipLoad("3", s_p=0.1),))
+    with pytest.raises(
+        SingularError,
+        match=r"^\|v0\|\^2 of the linearization point overflows: "
+        r"\|v0\| = 1\.500e\+154$",
+    ):
+        solve(feeder, "linear-full", v0=v0)
+    for method in ("linear-simple", "bfs"):
+        assert np.all(np.isfinite(solve(feeder, method).voltages))
+
+
+@pytest.mark.parametrize("z", [0.01 + 0.02j, _Z3], ids=["1", "3"])
+def test_slack_below_the_overflow_solves(z):
+    feeder = chain_feeder(3, z, v_s=1.3e154, loads=(ZipLoad("3", s_p=0.1),))
+    assert np.all(np.isfinite(solve(feeder, "linear-full").voltages))
+
+
 @pytest.mark.parametrize("name", ["balanced_ten_bus", "unbalanced_ten_bus"])
 @pytest.mark.parametrize("method", ["linear-simple", "linear-full", "bfs"])
 def test_overflowing_voltage_scale_is_a_solver_error(name, method):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,17 @@ from radialflow import (
 from radialflow.loads import (
     PHASE_ROTATIONS,
     drop_zero_loads,
+    load_table,
     load_vectors,
     nodal_injections,
 )
-from helpers import chain_feeder
+from helpers import (
+    chain_feeder,
+    random_radial_feeder,
+    shuffled,
+    unfactored_draw,
+    unfactored_injections,
+)
 
 
 NOMINAL_ABC = np.array(PHASE_ROTATIONS)
@@ -253,6 +261,74 @@ class TestStackedLoads:
         s_z, s_i, s_p = load_vectors(feeder)
         s_p *= 2
         assert np.array_equal(load_vectors(feeder)[2], s_p / 2)
+
+
+class TestInjectionBits:
+    """The load factors kept in the load table give every injection bit
+    for bit what the per-slot formula gives with its factors formed on each
+    evaluation."""
+
+    def _cases(self, phase_count):
+        rng = np.random.default_rng(60 + phase_count)
+        for v_base in (1.0, 12.47, 1e-3):
+            for _ in range(4):
+                feeder = random_radial_feeder(
+                    rng, int(rng.integers(2, 40)), phase_count,
+                    profile="zip", delta_fraction=0.4,
+                )
+                feeder = replace(feeder, v_base=v_base)
+                for copy in (feeder, shuffled(rng, feeder)):
+                    yield rng, copy, self._voltages(rng, copy)
+
+    @staticmethod
+    def _voltages(rng, feeder):
+        n, p = len(feeder.nodes), feeder.phase_count
+        nominal = np.tile(NOMINAL_ABC[:p], n)
+        return nominal * (1 + rng.uniform(-0.08, 0.08, n * p)) * np.exp(
+            1j * rng.uniform(-0.1, 0.1, n * p)
+        )
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_nodal_injections(self, phase_count):
+        for _, feeder, v in self._cases(phase_count):
+            p = feeder.phase_count
+            expected = unfactored_injections(
+                feeder.load_table, v.reshape(-1, p), feeder.h
+            )
+            got = nodal_injections(feeder, v)
+            assert np.array_equal(got, expected.reshape(-1))
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_injection_current(self, phase_count):
+        for rng, feeder, v in self._cases(phase_count):
+            # Each wye load at one of the sampled voltages.
+            for load, voltage in zip(feeder.loads, v):
+                if load.connection == "delta":
+                    continue
+                rotation = PHASE_ROTATIONS[int(rng.integers(0, 3))]
+                stack = np.array(
+                    [load.s_z, load.s_i, load.s_p], dtype=complex
+                ).reshape(3, 1, 1)
+                draw = unfactored_draw(
+                    stack, np.array([[voltage]]), feeder.h,
+                    np.array([rotation]),
+                )
+                got = injection_current(load, voltage, feeder.h, rotation)
+                assert got == -complex(draw[0, 0])
+
+    def test_delta_to_wye_injections(self):
+        for rng, feeder, v in self._cases(3):
+            loads = [
+                load for load in feeder.loads if load.connection == "delta"
+            ]
+            nodes = tuple(dict.fromkeys(load.node for load in loads))
+            v_abc = v[3:6]
+            table = load_table(loads, nodes, 3, feeder.h)
+            expected = unfactored_injections(
+                table, np.broadcast_to(v_abc, (len(nodes), 3)), feeder.h
+            ).sum(axis=0)
+            got = delta_to_wye_injections(loads, v_abc, feeder.h)
+            assert np.array_equal(got, expected)
 
 
 class TestNodalCollapse:

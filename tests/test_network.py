@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -365,14 +366,28 @@ class TestWalkKernels:
     @pytest.mark.parametrize("phase_count", [1, 3])
     def test_bfs_matches_the_per_level_kernels(self, phase_count, monkeypatch):
         opts = BfsOptions(tolerance=1e-10)
+        calls = collections.Counter()
+
+        def counted(oracle):
+            def call(*args):
+                calls[oracle.__name__] += 1
+                return oracle(*args)
+            return call
+
         for feeder in self._feeders(phase_count):
             sol = solve_bfs(feeder, opts)
+            calls.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(radialflow.bfs, "path_sums", level_path_sums)
                 patch.setattr(
-                    radialflow.bfs, "subtree_sums", level_subtree_sums
+                    radialflow.bfs, "path_sums", counted(level_path_sums)
+                )
+                patch.setattr(
+                    radialflow.bfs, "subtree_sums", counted(level_subtree_sums)
                 )
                 expected = solve_bfs(feeder, opts)
+            # The sweep ran on the oracles, not on the kernels themselves.
+            assert calls["level_path_sums"] == expected.iterations
+            assert calls["level_subtree_sums"] == expected.iterations
             assert sol.iterations == expected.iterations
             assert np.array_equal(sol.voltages, expected.voltages)
 
