@@ -13,10 +13,12 @@ Two solver modes are exposed:
   constant-power loads enter as injections frozen at the nominal rotated
   voltage.
 * ``full``: keeps the conjugate term, generalized to an arbitrary
-  linearization point, and solves the conjugate-linear system by stacking
-  real and imaginary parts. At a slack voltage of 1 p.u. it coincides with
-  the simple mode; away from 1 p.u. accuracy improves when the
-  linearization point tracks the slack voltage.
+  linearization point. At the default point, the slack voltage, the
+  conjugate coefficient vanishes and the system is solved as one complex
+  system; at any other point it is conjugate-linear and is solved by
+  stacking real and imaginary parts. At a slack voltage of 1 p.u. it
+  coincides with the simple mode; away from 1 p.u. accuracy improves when
+  the linearization point tracks the slack voltage.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class LinearizationPoint:
 
     def __post_init__(self):
         for phasor in self.phasors:
-            if not (cmath.isfinite(phasor) and abs(phasor) > 0):
+            if not (cmath.isfinite(phasor) and phasor != 0):
                 raise ValueError(
                     "linearization phasors must be finite with positive "
                     "magnitude"
@@ -312,24 +314,26 @@ def solve_linear(model: LinearModel) -> Solution:
 def solve_linear_full(
     feeder: Feeder, v0: LinearizationPoint | complex | None = None
 ) -> Solution:
-    """Solve the conjugate-linear variant.
+    """Solve the conjugate-linear variant M1 x + diag(m2) conj(x) = b.
 
     The voltage-product expansion contributes both V and conj(V) terms; the
-    conjugate coefficient vanishes only when the linearization point equals
-    the slack voltage. The system is solved directly by stacking real and
-    imaginary parts into one real system of twice the size, keeping the
-    method non-iterative.
+    conjugate coefficient m2 vanishes only when the linearization point
+    equals the slack voltage, the default. Then M1 x = b is solved as one
+    complex system of size np; otherwise the real and imaginary parts are
+    stacked into one real system of twice the size. Either way the method
+    stays non-iterative.
     """
     point = _resolve_v0(feeder, v0)
     with np.errstate(over="ignore"):
         expansions = [linearize_vsq(phasor) for phasor in point.phasors]
-    if not all(np.isfinite(c_0) for *_, c_0 in expansions):
-        # The dense system holds c_0 = -|v0|^2 itself, so it has no room
-        # for a point beyond the square root of the largest float.
-        raise SingularError(
-            "|v0|^2 of the linearization point overflows: |v0| = "
-            f"{max(map(abs, point.phasors)):.3e}"
-        )
+        if not all(np.isfinite(c_0) for *_, c_0 in expansions):
+            # The dense system holds c_0 = -|v0|^2 itself, so it has no
+            # room for a point beyond the square root of the largest float;
+            # |v0| itself may overflow too.
+            raise SingularError(
+                "|v0|^2 of the linearization point overflows: |v0| = "
+                f"{np.abs(point.phasors).max():.3e}"
+            )
     sys_a, p_base, i_base, rho, a_vec = _system_parts(feeder)
     c_v, c_vbar, c_0 = (
         _per_unknown(coefficient, feeder) for coefficient in zip(*expansions)
@@ -347,6 +351,15 @@ def solve_linear_full(
     size = m1.shape[0]
     if size == 0:
         return _solution(feeder, np.zeros(0, dtype=np.complex128), "linear-full")
+    if not m2_diag.any():
+        # v0 is the slack voltage (the default): M1 x = b is complex-linear,
+        # one complex LU of half the flops and half the bytes of the real
+        # embedding below.
+        try:
+            x = np.linalg.solve(m1, b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularError(str(exc)) from exc
+        return _solution(feeder, x, "linear-full")
     stacked = np.zeros((2 * size, 2 * size))
     stacked[:size, :size] = m1.real
     np.negative(m1.imag, out=stacked[:size, size:])

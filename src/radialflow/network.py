@@ -102,7 +102,7 @@ class Feeder:
         if not self.nodes:
             raise ValueError("feeder needs at least the slack node")
         v_s = self.slack_voltage
-        if not (cmath.isfinite(v_s) and abs(v_s) > 0):
+        if not (cmath.isfinite(v_s) and v_s != 0):
             raise ValueError(
                 "slack voltage must be finite with positive magnitude"
             )

@@ -232,11 +232,10 @@ def brute_force_reduced_impedance(a_m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return a_inv @ z @ a_inv.T
 
 
-def dense_linear_system(feeder: Feeder) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle for the linear-simple system over the non-slack node-major
-    unknowns, built densely on the reduced impedance D: the matrix
-    I + h^2 D diag(conj s_z) and the right-hand side
-    v_s - h D (conj s_p rho) - h D (conj s_i rho)."""
+def _dense_parts(feeder: Feeder):
+    """The dense pieces both linear oracles share, over the non-slack
+    node-major unknowns: I + h^2 D diag(conj s_z), D (conj s_p rho),
+    D (conj s_i rho), rho and the tiled slack phasors."""
     h, p = feeder.h, feeder.phase_count
     s_z, s_i, s_p = (s[p:] for s in load_vectors(feeder))
     unknown_nodes = len(feeder.nodes) - 1
@@ -248,7 +247,52 @@ def dense_linear_system(feeder: Feeder) -> tuple[np.ndarray, np.ndarray]:
     sys_a = np.multiply(d, np.conjugate(s_z)[np.newaxis, :], out=d)
     sys_a *= h * h
     sys_a.flat[:: d.shape[0] + 1] += 1.0
-    return sys_a, v_s - h * p_base - h * i_base
+    return sys_a, p_base, i_base, rho, v_s
+
+
+def dense_linear_system(feeder: Feeder) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for the linear-simple system over the non-slack node-major
+    unknowns, built densely on the reduced impedance D: the matrix
+    I + h^2 D diag(conj s_z) and the right-hand side
+    v_s - h D (conj s_p rho) - h D (conj s_i rho)."""
+    sys_a, p_base, i_base, _, v_s = _dense_parts(feeder)
+    return sys_a, v_s - feeder.h * p_base - feeder.h * i_base
+
+
+def linear_full_system(
+    feeder: Feeder, v0: complex | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oracle for the linear-full system M1 x + diag(m2) conj(x) = b over
+    the non-slack node-major unknowns, linearized around ``v0`` rotated
+    into each phase (the slack phasors by default): with
+    V conj(V) ~ c_v V + c_vbar conj(V) + c_0 per phase,
+    M1 = diag(c_v) (I + h^2 D diag(conj s_z)), m2 = c_vbar - v_s and
+    b = -conj(rho) D (conj s_p rho) - c_v h D (conj s_i rho) - c_0."""
+    sys_a, p_base, i_base, rho, v_s = _dense_parts(feeder)
+    point = feeder.slack_phasors() if v0 is None else [
+        complex(v0) * rho for rho in PHASE_ROTATIONS[: feeder.phase_count]
+    ]
+    point = np.tile(np.asarray(point, dtype=complex), len(feeder.nodes) - 1)
+    c_v, c_vbar = np.conjugate(point), point
+    c_0 = -np.square(np.abs(point))
+    m1 = c_v[:, np.newaxis] * sys_a
+    b = -np.conjugate(rho) * p_base - c_v * feeder.h * i_base - c_0
+    return m1, c_vbar - v_s, b
+
+
+def stacked_solve(m1: np.ndarray, m2: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Oracle solve of M1 x + diag(m2) conj(x) = b through its real
+    embedding: [[Re M1 + diag(Re m2), -Im M1 + diag(Im m2)],
+    [Im M1 + diag(Im m2), Re M1 - diag(Re m2)]] [Re x; Im x] = [Re b; Im b]."""
+    size = m1.shape[0]
+    stacked = np.block([[m1.real, -m1.imag], [m1.imag, m1.real]])
+    idx = np.arange(size)
+    stacked[idx, idx] += m2.real
+    stacked[idx, size + idx] += m2.imag
+    stacked[size + idx, idx] += m2.imag
+    stacked[size + idx, size + idx] -= m2.real
+    xy = np.linalg.solve(stacked, np.concatenate([b.real, b.imag]))
+    return xy[:size] + 1j * xy[size:]
 
 
 def dense_ybus(inc, feeder: Feeder) -> np.ndarray:

@@ -379,6 +379,30 @@ class TestNonFiniteResult:
             assert main(["solve", path, "--method", method]) == 0
             capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["solve", "--method", "linear-full"],
+        ["solve", "--method", "bfs"], ["compare"], ["metrics"],
+    ])
+    def test_magnitude_beyond_the_float_range_has_an_exit_code(
+        self, tmp_path, capsys, command
+    ):
+        # Finite, but its magnitude overflows a float.
+        path = _overflowing_file(tmp_path, v_s=complex(1.7e308, 1.7e308))
+        assert main([command[0], path, *command[1:]]) in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_v0_beyond_the_float_range_is_named(self, valid_file):
+        proc = run_cli(
+            "solve", valid_file, "--method", "linear-full",
+            "--v0", "1.7e308+1.7e308j",
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "solver error: |v0|^2 of the linearization point overflows: "
+            "|v0| = inf\n"
+        )
+
     @pytest.mark.parametrize("method", ["linear-simple", "bfs"])
     def test_finite_result_at_the_float_range_is_written(
         self, tmp_path, capsys, method

@@ -35,10 +35,12 @@ from radialflow.loads import PHASE_ROTATIONS
 from helpers import (
     chain_feeder,
     dense_linear_system,
+    linear_full_system,
     perfbench_gen,
     random_radial_feeder,
     shuffled,
     singular_pivot_feeder,
+    stacked_solve,
     two_bus_feeder,
 )
 
@@ -65,16 +67,40 @@ def _dense_solve(feeder):
     return np.concatenate([feeder.slack_phasors(), x])
 
 
-def _fifty_digit_solve(feeder):
-    """The dense oracle system solved by LU in 50-digit arithmetic."""
-    sys_a, sys_b = dense_linear_system(feeder)
+def _fifty_digit_lu(sys_a, sys_b):
+    """The complex system sys_a x = sys_b solved by LU in 50-digit
+    arithmetic, rounded to complex128."""
     with mpmath.workdps(50):
         x = mpmath.lu_solve(
             mpmath.matrix([[mpmath.mpc(v) for v in row] for row in sys_a]),
             mpmath.matrix([mpmath.mpc(v) for v in sys_b]),
         )
-        x = np.array([complex(v) for v in x], dtype=complex)
+        return np.array([complex(v) for v in x], dtype=complex)
+
+
+def _fifty_digit_solve(feeder):
+    """The dense oracle system solved by LU in 50-digit arithmetic."""
+    x = _fifty_digit_lu(*dense_linear_system(feeder))
     return np.concatenate([feeder.slack_phasors(), x])
+
+
+def _linear_full_feeders(rng):
+    """The bundled feeders, plus random ZIP/delta feeders at both phase
+    counts with v_s != 1 and v_base != 1, half of them shuffled."""
+    feeders = [radialflow.example_feeder(name) for name in (
+        "two_bus", "balanced_ten_bus", "unbalanced_ten_bus"
+    )]
+    for phase_count, largest in ((1, 30), (3, 15)):
+        for k in range(6):
+            feeder = random_radial_feeder(
+                rng, int(rng.integers(2, largest + 1)), phase_count,
+                profile="zip",
+                v_s=complex(rng.uniform(0.93, 1.08), rng.uniform(-0.03, 0.03)),
+                delta_fraction=0.4 if phase_count == 3 else 0.0,
+            )
+            feeder = replace(feeder, v_base=float(rng.uniform(0.9, 1.1)))
+            feeders.append(shuffled(rng, feeder) if k % 2 else feeder)
+    return feeders
 
 
 class TestLinearizeVsq:
@@ -363,6 +389,56 @@ class TestSolveLinearFull:
             full = solve_linear_full(feeder)
             assert np.max(np.abs(simple.voltages - full.voltages)) < 1e-12
 
+    def test_default_point_matches_a_fifty_digit_solve(self):
+        # At v0 = the slack voltage the conjugate term vanishes, and the
+        # complex system M1 x = b is solved as it stands.
+        for feeder in _linear_full_feeders(np.random.default_rng(21)):
+            m1, m2, b = linear_full_system(feeder)
+            assert not np.any(m2)
+            exact = np.concatenate(
+                [feeder.slack_phasors(), _fifty_digit_lu(m1, b)]
+            )
+            error = solve(feeder, "linear-full").voltages - exact
+            assert np.max(np.abs(error)) <= 1e-15
+
+    def test_default_point_matches_the_stacked_real_solve(self):
+        for feeder in _linear_full_feeders(np.random.default_rng(22)):
+            x = solve(feeder, "linear-full").voltages[feeder.phase_count:]
+            error = x - stacked_solve(*linear_full_system(feeder))
+            assert np.max(np.abs(error)) <= 1e-13
+
+    def test_other_points_solve_the_stacked_real_system(self):
+        # Away from the slack voltage the system is only real-linear: the
+        # stacked real solve, bit for bit.
+        general = 0
+        feeders = _linear_full_feeders(np.random.default_rng(23))
+        for feeder in feeders:
+            for v0 in (1.0, 1.05, 0.97 + 0.02j):
+                m1, m2, b = linear_full_system(feeder, v0)
+                if not np.any(m2):
+                    continue  # v0 is this feeder's slack voltage
+                general += 1
+                x = solve(feeder, "linear-full", v0=v0).voltages
+                assert np.array_equal(
+                    x[feeder.phase_count:], stacked_solve(m1, m2, b)
+                )
+        # Every random feeder's slack voltage differs from all three.
+        assert general >= 3 * (len(feeders) - 3)
+
+    def test_peak_memory_is_about_d(self):
+        # D's (np)^2 array holds the complex system; LAPACK's work copy is
+        # allocated outside the traced heap.
+        gen = perfbench_gen()
+        feeder = parse_feeder(gen.dumps(gen.feeder_doc(19, 1000, 1, 0.92)))
+        d_bytes = (len(feeder.nodes) - 1) ** 2 * 16
+        tracemalloc.start()
+        try:
+            solve(feeder, "linear-full")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * d_bytes
+
     def test_zero_loads_any_slack(self):
         for v_s in (1.05 + 0j, 0.98 + 0.01j, 1.1 + 0j):
             feeder = chain_feeder(5, 0.01 + 0.02j, v_s=v_s)
@@ -505,6 +581,14 @@ def test_oracle_proximity_light_load():
         eps = node_errors(sol, ref)
         assert np.max(eps) <= 5e-3
         assert np.mean(eps) <= 1e-3
+
+
+def test_point_beyond_the_float_range_of_its_magnitude_is_named():
+    # |v0| itself overflows: the point is valid, and linear-full names it.
+    huge = complex(1.7e308, 1.7e308)
+    assert LinearizationPoint((huge,)).phasors == (huge,)
+    with pytest.raises(SingularError, match=r"overflows: \|v0\| = inf$"):
+        solve(two_bus_feeder(), "linear-full", v0=huge)
 
 
 def test_linearization_point_validation():

@@ -558,6 +558,12 @@ class TestFeederConstruction:
         with pytest.raises(ValueError):
             make_feeder(["1"], [], v_s=0j)
 
+    def test_slack_beyond_the_float_range_of_its_magnitude_is_accepted(self):
+        # |1.7e308 + 1.7e308j| overflows a float; the phasor is still
+        # finite and nonzero.
+        huge = complex(1.7e308, 1.7e308)
+        assert make_feeder(["1"], [], v_s=huge).slack_voltage == huge
+
     def test_matrix_impedance_on_single_phase_rejected(self):
         zmat = tuple(
             tuple(0.01 + 0.01j if i == j else 0j for j in range(3))
