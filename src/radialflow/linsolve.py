@@ -91,9 +91,6 @@ class Solution:
     nodes: tuple[str, ...]
     phase_count: int
 
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.voltages)
-
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -168,8 +165,9 @@ def assemble(feeder: Feeder) -> LinearModel:
     children's eliminated rows, and substituting x_k eliminates it to
     I_k = A x_parent + B with [A | B] = (I + A_k z_k)^-1 [A_k | B_k], leaves
     first, without forming D: one numpy step per depth level on
-    three-phase feeders, and a scalar loop over the nodes on single-phase
-    ones, whose levels hold too few numbers to repay a numpy call.
+    three-phase feeders, and a scalar loop over ``tree.downward`` on
+    single-phase ones, whose levels hold too few numbers to repay a numpy
+    call.
     """
     s_z, s_i, s_p = load_vectors(feeder)
     z = impedance_blocks(feeder)
@@ -248,25 +246,22 @@ def _eliminate_scalar(
 ) -> np.ndarray:
     """``assemble``'s elimination on a single-phase feeder as an (m, 1, 2)
     stack of [A | B], from the loads ``c`` and ``w`` and the impedances
-    ``z``, one entry per row: a scalar loop over the nodes in reverse walk
-    order, as each depth level holds too few numbers to repay a numpy
-    call."""
-    a, b, z = c.tolist(), w.tolist(), z.tolist()
-    parent = feeder.tree.parent
-    for node in reversed(feeder.tree.order[1:]):
-        row, up = node - 1, parent[node] - 1
-        pivot = 1.0 + a[row] * z[row]
+    ``z``, one entry per row: a scalar loop over ``tree.downward`` in
+    reverse, node k in slot k and the slack's unread sums in slot 0."""
+    a, b, z = [0j, *c.tolist()], [0j, *w.tolist()], [0j, *z.tolist()]
+    nodes, parents = feeder.tree.downward
+    for node, up in zip(reversed(nodes), reversed(parents)):
+        pivot = 1.0 + a[node] * z[node]
         try:
-            a[row] /= pivot
-            b[row] /= pivot
+            a[node] /= pivot
+            b[node] /= pivot
         except ZeroDivisionError:
             raise SingularError(
                 f"elimination pivot of node {feeder.nodes[node]} is zero"
             ) from None
-        if up >= 0:
-            a[up] += a[row]
-            b[up] += b[row]
-    return np.array((a, b), dtype=np.complex128).T.reshape(-1, 1, 2)
+        a[up] += a[node]
+        b[up] += b[node]
+    return np.array((a[1:], b[1:]), dtype=np.complex128).T.reshape(-1, 1, 2)
 
 
 def _solution(feeder: Feeder, x: np.ndarray, method: str) -> Solution:
@@ -286,19 +281,18 @@ def _solution(feeder: Feeder, x: np.ndarray, method: str) -> Solution:
 def solve_linear(model: LinearModel) -> Solution:
     """Solve the simple-mode system in one shot: the voltages down the tree
     from the slack, x_k = x_parent - ``drops`` [x_parent; 1], one numpy
-    step per depth level, or one scalar step per node on single-phase
-    feeders."""
+    step per depth level of ``tree.schedule``, or one scalar step per node
+    of ``tree.downward`` on single-phase feeders."""
     feeder = model.feeder
     tree, p = feeder.tree, feeder.phase_count
     slack = feeder.slack_phasors()
     if p == 1:
-        gain, offset = model.drops[:, 0].T.tolist()
-        x, v_s, parent = [0j] * len(gain), complex(slack[0]), tree.parent
-        for node in tree.order[1:]:  # parents before children
-            row, up = node - 1, parent[node] - 1
-            upper = x[up] if up >= 0 else v_s
-            x[row] = upper - (gain[row] * upper + offset[row])
-        x = np.array(x, dtype=np.complex128)
+        gain, offset = ([0j, *row] for row in model.drops[:, 0].T.tolist())
+        x = [complex(slack[0])] * len(gain)  # node k in slot k, slack in 0
+        for node, up in zip(*tree.downward):
+            upper = x[up]
+            x[node] = upper - (gain[node] * upper + offset[node])
+        x = np.array(x[1:], dtype=np.complex128)
         return _solution(feeder, x, "linear-simple")
     x = np.empty((len(tree.branches), p), dtype=np.complex128)
     with np.errstate(all="ignore"):

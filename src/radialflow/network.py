@@ -12,7 +12,8 @@ subtree. ``path_sums`` and ``subtree_sums`` do so in place with one Python
 walk per column of a payload, one row per node, over flat (node, parent)
 sequences each tree builds once (``TreeInfo.downward`` and ``upward``),
 converting the payload to Python lists and back once per call;
-``reduced_impedance`` walks D's rows itself, a numpy step per node. The
+``reduced_impedance`` and linear-simple's single-phase loops walk
+``downward`` too, so no other module reads the walk order itself. The
 bus admittance Y = A^T C A is scattered from the per-branch admittance
 blocks, without forming A or any dense product.
 """
@@ -530,8 +531,7 @@ def reduced_impedance(
         x.reshape(m, p, m * p),
         x.reshape(m * p, m, p).transpose(1, 2, 0),
     ):
-        for node in tree.order[1:]:
-            up = tree.parent[node]
+        for node, up in zip(*tree.downward):
             if up:
                 rows[node - 1] += rows[up - 1]
     return ReducedImpedance(d=x)

@@ -506,9 +506,14 @@ EXPECTED_FEEDERS: dict[str, str] = {
 
 
 def _corrupt(base: str, *edits) -> str:
+    """``base``'s document after ``edits``: each edits it in place or, when
+    not callable, is the document that replaces it."""
     doc = _source_doc(base)
     for edit in edits:
-        edit(doc)
+        if callable(edit):
+            edit(doc)
+        else:
+            doc = edit
     return json.dumps(doc)
 
 
@@ -579,6 +584,13 @@ BAD_DOCS = {
         ("loads", 5, "s_i"), _NAN), _set(("options",), {"v_base": math.nan})),
     "cycle": ("gen-1ph-n40", _set(("branches", 10, "to"), "n4")),
     "duplicate-node": ("shuffled-3ph", lambda d: d["nodes"].append(d["nodes"][3])),
+    "top-level-list": ("two_bus", [1, 2]),
+    "slack-not-object": ("two_bus", _set(("slack",), "1")),
+    "branches-not-list": ("gen-1ph-n40", _set(("branches",), {})),
+    "slack-missing-from-nodes": ("shuffled-1ph", lambda d: d["nodes"].remove(
+        d["slack"]["node"])),
+    "loads-not-list": ("gen-3ph-n30", _set(("loads",), {"node": "n2"})),
+    "options-not-object": ("gen-1ph-n40", _set(("options",), [1.0])),
 }
 
 EXPECTED_ERRORS: dict[str, tuple[str, str]] = {
@@ -593,6 +605,10 @@ EXPECTED_ERRORS: dict[str, tuple[str, str]] = {
     "branch-not-object": (
         "ParseError",
         "branches[6]: expected an object",
+    ),
+    "branches-not-list": (
+        "ParseError",
+        "branches: expected a list",
     ),
     "cycle": (
         "RadialityError",
@@ -642,6 +658,10 @@ EXPECTED_ERRORS: dict[str, tuple[str, str]] = {
         "ParseError",
         "loads[2].s_p: expected a complex value object",
     ),
+    "loads-not-list": (
+        "ParseError",
+        "loads: expected a list",
+    ),
     "matrix-1ph-impedance": (
         "ParseError",
         "branch b5: single-phase feeders need scalar impedances",
@@ -666,6 +686,10 @@ EXPECTED_ERRORS: dict[str, tuple[str, str]] = {
         "ParseError",
         "branches[3].impedance[4]: complex parts must be finite numbers, got {'re': nan, 'im': 0.01}",
     ),
+    "options-not-object": (
+        "ParseError",
+        "options: expected an object",
+    ),
     "scalar-3ph-impedance": (
         "ParseError",
         "branch b2: three-phase feeders need 3x3 impedance matrices",
@@ -677,6 +701,18 @@ EXPECTED_ERRORS: dict[str, tuple[str, str]] = {
     "self-loop-then-nan": (
         "ParseError",
         "branches[2]: branch b3 connects node n2 to itself",
+    ),
+    "slack-missing-from-nodes": (
+        "ParseError",
+        "slack node 1 missing from nodes",
+    ),
+    "slack-not-object": (
+        "ParseError",
+        "slack: expected an object",
+    ),
+    "top-level-list": (
+        "ParseError",
+        "top level must be a JSON object",
     ),
     "unknown-load-node-then-nan": (
         "ParseError",

@@ -129,6 +129,18 @@ class TestDeltaInjections:
         with pytest.raises(VoltageCollapseError):
             delta_to_wye_injections(loads, collapsed)
 
+    @pytest.mark.parametrize(
+        "connection,v_abc,message",
+        [
+            ("delta", NOMINAL_ABC[:2], "exactly three phase voltages"),
+            ("wye", NOMINAL_ABC, "only delta loads"),
+        ],
+    )
+    def test_malformed_call_rejected(self, connection, v_abc, message):
+        loads = [ZipLoad(node="2", s_p=0.1, phase="a", connection=connection)]
+        with pytest.raises(ValueError, match=message):
+            delta_to_wye_injections(loads, v_abc)
+
     def test_balanced_leg_power_at_nominal(self):
         # Each leg consumes exactly its specified power at nominal voltage.
         s = 0.3 + 0.1j

@@ -182,6 +182,11 @@ class TestNodeErrors:
         assert np.max(node_errors(a, b)) < 1e-12
         assert np.min(node_errors(a, b, kind="complex")) > 1e-3
 
+    def test_unknown_kind_rejected(self):
+        sol = solve_bfs(chain_feeder(3, 0.01 + 0.02j))
+        with pytest.raises(ValueError, match="unknown error kind 'phase'"):
+            node_errors(sol, sol, kind="phase")
+
     def test_dimension_mismatch(self):
         a = solve_bfs(chain_feeder(3, 0.01 + 0.02j))
         b = solve_bfs(chain_feeder(4, 0.01 + 0.02j))

@@ -549,6 +549,15 @@ def test_ymm_d_identity_property_suite():
         assert np.max(np.abs(identity - np.eye(n - 1))) < 1e-10
 
 
+_TWO_NODES = dict(
+    name="t",
+    phase_count=1,
+    nodes=("1", "2"),
+    slack_voltage=1.0 + 0j,
+    branches=(Branch("b1", "1", "2", 0.01 + 0.01j),),
+)
+
+
 class TestFeederConstruction:
     def test_phase_count_guard(self):
         with pytest.raises(ValueError):
@@ -632,27 +641,27 @@ class TestFeederConstruction:
         ],
     )
     def test_non_finite_or_boolean_field_rejected(self, field, value):
-        fields = dict(
-            name="t",
-            phase_count=1,
-            nodes=("1", "2"),
-            slack_voltage=1.0 + 0j,
-            branches=(Branch("b1", "1", "2", 0.01 + 0.01j),),
-        )
-        fields[field] = value
         with pytest.raises(ValueError):
-            Feeder(**fields)
+            Feeder(**{**_TWO_NODES, field: value})
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("nodes", (), "needs at least the slack node"),
+            ("loads", (ZipLoad(node="3", s_p=0.1),), "unknown node 3"),
+            ("loads", (ZipLoad(node="1", s_p=0.1),), "at the slack node"),
+        ],
+    )
+    def test_node_or_load_outside_the_feeder_rejected(
+        self, field, value, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            Feeder(**{**_TWO_NODES, field: value})
 
     def test_delta_load_needs_three_phase(self):
+        load = ZipLoad(node="2", s_p=0.1, connection="delta")
         with pytest.raises(ValueError):
-            Feeder(
-                name="t",
-                phase_count=1,
-                nodes=("1", "2"),
-                slack_voltage=1.0 + 0j,
-                branches=(Branch("b1", "1", "2", 0.01 + 0.01j),),
-                loads=(ZipLoad(node="2", s_p=0.1, connection="delta"),),
-            )
+            Feeder(**_TWO_NODES, loads=(load,))
 
 
 class TestImpedanceStack:
