@@ -22,7 +22,6 @@ from .errors import (
 )
 from .io import parse_feeder, serialize_feeder, write_solution
 from .linsolve import (
-    LinearizationPoint,
     LinearModel,
     Solution,
     assemble,
@@ -76,7 +75,6 @@ __all__ = [
     "Feeder",
     "IncidenceModel",
     "LinearModel",
-    "LinearizationPoint",
     "MetricsReport",
     "ParseError",
     "RadialFlowError",

@@ -16,7 +16,7 @@ import numpy as np
 from . import io as fio
 from .bfs import BfsOptions, residual
 from .errors import ParseError, RadialFlowError, RadialityError
-from .linsolve import LinearizationPoint, solve
+from .linsolve import check_v0, solve
 from .metrics import summarize
 # build_incidence is unused; perfbench's span test expects it bound here.
 from .network import Feeder, build_incidence
@@ -53,8 +53,9 @@ def _bfs_options(args: argparse.Namespace) -> BfsOptions:
 
 def _flag(convert, build):
     """An argparse ``type``: ``convert`` the text (argparse reports a
-    ValueError as an invalid value), then ``build`` the option type that
-    owns the flag's rule, whose ValueError becomes a usage error too."""
+    ValueError as an invalid value), then ``build`` from it what owns the
+    flag's rule, an option type or ``check_v0``, whose ValueError becomes
+    a usage error too."""
 
     def parse(text: str):
         value = convert(text)
@@ -68,7 +69,7 @@ def _flag(convert, build):
     return parse
 
 
-_v0 = _flag(complex, lambda value: LinearizationPoint((value,)))
+_v0 = _flag(complex, check_v0)
 _tolerance = _flag(float, lambda value: BfsOptions(tolerance=value))
 _iterations = _flag(int, lambda value: BfsOptions(max_iterations=value))
 

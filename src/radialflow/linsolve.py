@@ -13,7 +13,8 @@ Two solver modes are exposed:
   constant-power loads enter as injections frozen at the nominal rotated
   voltage.
 * ``full``: keeps the conjugate term, generalized to an arbitrary
-  linearization point. At the default point, the slack voltage, the
+  linearization point: one complex number ``v0``, rotated into each phase
+  as the slack voltage is. At the default point, the slack voltage, the
   conjugate coefficient vanishes and the system is solved as one complex
   system; at any other point it is conjugate-linear and is solved by
   stacking real and imaginary parts. At a slack voltage of 1 p.u. it
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SingularError
-from .loads import PHASE_ROTATIONS, load_vectors
+from .loads import PHASE_ROTATIONS, load_vectors, rotate_into_phases
 from .network import Feeder, impedance_blocks, path_sums, reduced_impedance
 
 if TYPE_CHECKING:
@@ -40,43 +41,27 @@ if TYPE_CHECKING:
 DIAGONAL_TOLERANCE = 1e-9
 
 
-def linearize_vsq(v0: complex) -> tuple[complex, complex, complex]:
-    """First-order coefficients of V * conj(V) around ``v0``.
+def linearize_vsq(v0: complex | np.ndarray) -> tuple:
+    """First-order coefficients of V * conj(V) around ``v0``, one phasor or
+    an array of them.
 
     Returns (c_v, c_vbar, c_0) with V * conj(V) ~ c_v V + c_vbar conj(V)
-    + c_0; the expansion is exact at V = v0. The numpy ufuncs round as
-    they do on arrays (Python's ``abs`` and ``**`` may differ in the last
-    bit), so per-phasor coefficients match a vectorized evaluation.
+    + c_0; the expansion is exact at V = v0.
     """
     magnitude = np.abs(v0)
-    if magnitude <= 0:
+    if np.any(magnitude <= 0):
         raise ValueError("linearization point must have positive magnitude")
     return np.conjugate(v0), v0, -np.square(magnitude)
 
 
-@dataclass(frozen=True)
-class LinearizationPoint:
-    """Per-phase voltage phasors the constant-power terms are expanded
-    around; defaults to the slack voltage rotated into each phase."""
-
-    phasors: tuple[complex, ...]
-
-    def __post_init__(self):
-        for phasor in self.phasors:
-            if not (cmath.isfinite(phasor) and phasor != 0):
-                raise ValueError(
-                    "linearization phasors must be finite with positive "
-                    "magnitude"
-                )
-
-    @classmethod
-    def for_feeder(cls, feeder: Feeder) -> "LinearizationPoint":
-        return cls(tuple(feeder.slack_phasors()))
-
-    @classmethod
-    def from_scalar(cls, value: complex, phase_count: int) -> "LinearizationPoint":
-        rotations = PHASE_ROTATIONS[:phase_count]
-        return cls(tuple(complex(value) * rho for rho in rotations))
+def check_v0(v0: complex) -> complex:
+    """Return ``v0``, the linearization point of linear-full, if it is
+    finite with positive magnitude, its one rule; raise ValueError if not."""
+    if not (cmath.isfinite(v0) and v0 != 0):
+        raise ValueError(
+            "linearization phasors must be finite with positive magnitude"
+        )
+    return v0
 
 
 @dataclass(frozen=True)
@@ -107,21 +92,6 @@ class LinearModel:
     feeder: Feeder
 
 
-def _resolve_v0(
-    feeder: Feeder, v0: LinearizationPoint | complex | None
-) -> LinearizationPoint:
-    if v0 is None:
-        return LinearizationPoint.for_feeder(feeder)
-    if isinstance(v0, LinearizationPoint):
-        if len(v0.phasors) != feeder.phase_count:
-            raise ValueError(
-                f"linearization point has {len(v0.phasors)} phasors for a "
-                f"{feeder.phase_count}-phase feeder"
-            )
-        return v0
-    return LinearizationPoint.from_scalar(v0, feeder.phase_count)
-
-
 def _per_unknown(values, feeder: Feeder) -> np.ndarray:
     """Tile per-phase values across the non-slack node-major unknowns."""
     n_unknown_nodes = len(feeder.nodes) - 1
@@ -140,7 +110,6 @@ def _system_parts(feeder: Feeder):
     cut = feeder.phase_count  # drop the slack slots
     s_z, s_i, s_p = s_z[cut:], s_i[cut:], s_p[cut:]
     rho = _per_unknown(PHASE_ROTATIONS[: feeder.phase_count], feeder)
-    a_vec = _per_unknown(feeder.slack_phasors(), feeder)
     d = red.d
     size = d.shape[0]
     p_base = d @ (np.conjugate(s_p) * rho)
@@ -151,7 +120,7 @@ def _system_parts(feeder: Feeder):
         sys_a = np.multiply(d, np.conjugate(s_z)[np.newaxis, :], out=d)
         sys_a *= h * h
         sys_a.flat[:: size + 1] += 1.0
-    return sys_a, p_base, i_base, rho, a_vec
+    return sys_a, p_base, i_base, rho
 
 
 def assemble(feeder: Feeder) -> LinearModel:
@@ -305,33 +274,35 @@ def solve_linear(model: LinearModel) -> Solution:
     return _solution(feeder, x.reshape(-1), "linear-simple")
 
 
-def solve_linear_full(
-    feeder: Feeder, v0: LinearizationPoint | complex | None = None
-) -> Solution:
+def solve_linear_full(feeder: Feeder, v0: complex | None = None) -> Solution:
     """Solve the conjugate-linear variant M1 x + diag(m2) conj(x) = b.
 
-    The voltage-product expansion contributes both V and conj(V) terms; the
-    conjugate coefficient m2 vanishes only when the linearization point
-    equals the slack voltage, the default. Then M1 x = b is solved as one
+    The voltage-product expansion contributes both V and conj(V) terms
+    around the linearization point: ``v0`` (checked by ``check_v0``), by
+    default the slack voltage, rotated into each phase as the slack is. The
+    conjugate coefficient m2 vanishes only when that point equals the
+    slack's phasors, as the default does. Then M1 x = b is solved as one
     complex system of size np; otherwise the real and imaginary parts are
     stacked into one real system of twice the size. Either way the method
     stays non-iterative.
     """
-    point = _resolve_v0(feeder, v0)
     with np.errstate(over="ignore"):
-        expansions = [linearize_vsq(phasor) for phasor in point.phasors]
-        if not all(np.isfinite(c_0) for *_, c_0 in expansions):
+        # A finite point may overflow once rotated into a phase.
+        point = slack = feeder.slack_phasors()
+        if v0 is not None:
+            point = rotate_into_phases(check_v0(v0), feeder.phase_count)
+        c_v, c_vbar, c_0 = linearize_vsq(point)
+        if not np.all(np.isfinite(c_0)):
             # The dense system holds c_0 = -|v0|^2 itself, so it has no
             # room for a point beyond the square root of the largest float;
             # |v0| itself may overflow too.
             raise SingularError(
                 "|v0|^2 of the linearization point overflows: |v0| = "
-                f"{np.abs(point.phasors).max():.3e}"
+                f"{np.abs(point).max():.3e}"
             )
-    sys_a, p_base, i_base, rho, a_vec = _system_parts(feeder)
-    c_v, c_vbar, c_0 = (
-        _per_unknown(coefficient, feeder) for coefficient in zip(*expansions)
-    )
+    sys_a, p_base, i_base, rho = _system_parts(feeder)
+    m2_diag = _per_unknown(c_vbar - slack, feeder)
+    c_v, c_0 = _per_unknown(c_v, feeder), _per_unknown(c_0, feeder)
 
     # Rows live in voltage-squared units: the conjugate-voltage expansion of
     # each constant-power row is kept whole, while the exact impedance and
@@ -339,12 +310,8 @@ def solve_linear_full(
     with np.errstate(all="ignore"):  # a non-finite sys_a, as above
         # In place, as sys_a is not read again.
         m1 = np.multiply(c_v[:, np.newaxis], sys_a, out=sys_a)
-    m2_diag = c_vbar - a_vec
     b = -np.conjugate(rho) * p_base - c_v * feeder.h * i_base - c_0
 
-    size = m1.shape[0]
-    if size == 0:
-        return _solution(feeder, np.zeros(0, dtype=np.complex128), "linear-full")
     if not m2_diag.any():
         # v0 is the slack voltage (the default): M1 x = b is complex-linear,
         # one complex LU of half the flops and half the bytes of the real
@@ -354,6 +321,7 @@ def solve_linear_full(
         except np.linalg.LinAlgError as exc:
             raise SingularError(str(exc)) from exc
         return _solution(feeder, x, "linear-full")
+    size = m1.shape[0]
     stacked = np.zeros((2 * size, 2 * size))
     stacked[:size, :size] = m1.real
     np.negative(m1.imag, out=stacked[:size, size:])
@@ -379,15 +347,16 @@ def solve_linear_full(
 def solve(
     feeder: Feeder,
     method: str = "linear-simple",
-    v0: LinearizationPoint | complex | None = None,
+    v0: complex | None = None,
     bfs: BfsOptions | None = None,
 ) -> Solution:
     """Solve a feeder with ``linear-simple``, ``linear-full`` or ``bfs``.
 
-    ``v0`` is the linearization point of ``linear-full`` (the other methods
-    ignore it) and ``bfs`` the ``BfsOptions`` of the sweep. Three-phase
-    feeders use the block-extended system, each phase linearized around its
-    rotated nominal phasor; delta loads go through their wye equivalents.
+    ``v0`` is the linearization point of ``linear-full``, one complex
+    number that defaults to the slack voltage (the other methods ignore
+    it), and ``bfs`` the ``BfsOptions`` of the sweep. Three-phase feeders
+    use the block-extended system, each phase linearized around ``v0``
+    rotated into it; delta loads go through their wye equivalents.
     """
     if method == "linear-simple":
         return solve_linear(assemble(feeder))

@@ -65,6 +65,11 @@ _LEG_SPLIT = (
 ) / _LEG_SPAN[:, np.newaxis]
 
 
+def rotate_into_phases(value: complex, phase_count: int) -> np.ndarray:
+    """One phasor per phase: ``value`` times each phase's unit rotation."""
+    return value * _ROTATIONS[:phase_count]
+
+
 @dataclass(frozen=True)
 class ZipLoad:
     """A load at one node, split into constant-impedance (s_z),

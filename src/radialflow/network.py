@@ -29,7 +29,13 @@ from itertools import chain
 import numpy as np
 
 from .errors import RadialityError, SingularError
-from .loads import PHASE_ROTATIONS, LoadTable, NodeId, ZipLoad, load_table
+from .loads import (
+    LoadTable,
+    NodeId,
+    ZipLoad,
+    load_table,
+    rotate_into_phases,
+)
 
 #: Impedances with magnitude below this are rejected; the model has no
 #: zero-impedance switch representation.
@@ -71,7 +77,10 @@ class Branch:
             entries = chain.from_iterable(self.impedance)
             if not all(map(cmath.isfinite, entries)):
                 raise ValueError(f"branch {self.id}: impedance must be finite")
-            asymmetry = max(abs(ab - ba), abs(ac - ca), abs(bc - cb))
+            try:
+                asymmetry = max(abs(ab - ba), abs(ac - ca), abs(bc - cb))
+            except OverflowError:  # a finite difference past the float range
+                asymmetry = math.inf
             if asymmetry > _MATRIX_SYMMETRY_TOL:
                 raise ValueError(
                     f"branch {self.id}: impedance matrix is not symmetric"
@@ -181,8 +190,7 @@ class Feeder:
 
     def slack_phasors(self) -> np.ndarray:
         """Slack voltage per phase (rotated nominals in three-phase mode)."""
-        rotations = PHASE_ROTATIONS[: self.phase_count]
-        return self.slack_voltage * np.asarray(rotations, dtype=np.complex128)
+        return rotate_into_phases(self.slack_voltage, self.phase_count)
 
 
 @dataclass(frozen=True)

@@ -280,9 +280,11 @@ def linear_full_system(
     return m1, c_vbar - v_s, b
 
 
-def stacked_solve(m1: np.ndarray, m2: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Oracle solve of M1 x + diag(m2) conj(x) = b through its real
-    embedding: [[Re M1 + diag(Re m2), -Im M1 + diag(Im m2)],
+def real_embedding(
+    m1: np.ndarray, m2: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The real system of M1 x + diag(m2) conj(x) = b:
+    [[Re M1 + diag(Re m2), -Im M1 + diag(Im m2)],
     [Im M1 + diag(Im m2), Re M1 - diag(Re m2)]] [Re x; Im x] = [Re b; Im b]."""
     size = m1.shape[0]
     stacked = np.block([[m1.real, -m1.imag], [m1.imag, m1.real]])
@@ -291,7 +293,14 @@ def stacked_solve(m1: np.ndarray, m2: np.ndarray, b: np.ndarray) -> np.ndarray:
     stacked[idx, size + idx] += m2.imag
     stacked[size + idx, idx] += m2.imag
     stacked[size + idx, size + idx] -= m2.real
-    xy = np.linalg.solve(stacked, np.concatenate([b.real, b.imag]))
+    return stacked, np.concatenate([b.real, b.imag])
+
+
+def stacked_solve(m1: np.ndarray, m2: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Oracle solve of M1 x + diag(m2) conj(x) = b through its real
+    embedding."""
+    xy = np.linalg.solve(*real_embedding(m1, m2, b))
+    size = m1.shape[0]
     return xy[:size] + 1j * xy[size:]
 
 

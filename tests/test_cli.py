@@ -1,16 +1,19 @@
+import copy
 import json
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import radialflow
 from radialflow import (
     BfsOptions,
-    LinearizationPoint,
     network,
     node_errors,
     solve_bfs,
@@ -18,6 +21,7 @@ from radialflow import (
 )
 from radialflow.cli import LINEAR_METHODS, main
 from radialflow.io import serialize_feeder
+from radialflow.linsolve import check_v0
 from helpers import (
     perfbench_gen,
     run_cli,
@@ -25,6 +29,7 @@ from helpers import (
     singular_pivot_feeder,
     two_bus_feeder,
 )
+from test_golden import COMMANDS, DATA, FEEDERS
 
 VALID = serialize_feeder(radialflow.example_feeder("two_bus"))
 
@@ -213,11 +218,11 @@ class TestUnusableInput:
         self, valid_file, capsys, flag, text
     ):
         # One owner per rule: the CLI turns the text into a number, and
-        # BfsOptions or LinearizationPoint decides whether it is allowed.
+        # BfsOptions or check_v0 decides whether it is allowed.
         build = {
             "--tolerance": lambda: BfsOptions(tolerance=float(text)),
             "--max-iterations": lambda: BfsOptions(max_iterations=int(text)),
-            "--v0": lambda: LinearizationPoint((complex(text),)),
+            "--v0": lambda: check_v0(complex(text)),
         }[flag]
         try:
             build()
@@ -320,6 +325,14 @@ def _overflowing_file(tmp_path, **parts) -> str:
 OVERFLOWING_LOAD = {"s_p": 1e308 + 1e308j}
 OVERFLOWING_SLACK = {"v_s": 1e308 + 1e308j}
 
+#: Finite, but its magnitude overflows a float, and so do its rotations
+#: into phases b and c.
+HUGE = complex(1.7e308, 1.7e308)
+HUGE_V0_ERROR = (
+    "solver error: |v0|^2 of the linearization point overflows: "
+    "|v0| = inf\n"
+)
+
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not a JSON number")
@@ -379,29 +392,38 @@ class TestNonFiniteResult:
             assert main(["solve", path, "--method", method]) == 0
             capsys.readouterr()
 
+    @pytest.mark.parametrize("feeder", [
+        two_bus_feeder(v_s=HUGE),
+        replace(
+            radialflow.example_feeder("unbalanced_ten_bus"),
+            slack_voltage=HUGE,
+        ),
+    ], ids=["1", "3"])
     @pytest.mark.parametrize("command", [
         ["solve"], ["solve", "--method", "linear-full"],
         ["solve", "--method", "bfs"], ["compare"], ["metrics"],
     ])
     def test_magnitude_beyond_the_float_range_has_an_exit_code(
-        self, tmp_path, capsys, command
+        self, tmp_path, capsys, command, feeder
     ):
-        # Finite, but its magnitude overflows a float.
-        path = _overflowing_file(tmp_path, v_s=complex(1.7e308, 1.7e308))
-        assert main([command[0], path, *command[1:]]) in (0, 1, 2, 3)
-        assert "Traceback" not in capsys.readouterr().err
+        path = tmp_path / "overflow.json"
+        path.write_text(serialize_feeder(feeder))
+        code = main([command[0], str(path), *command[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if "linear-full" in command:
+            assert (code, err) == (3, HUGE_V0_ERROR)
 
-    def test_v0_beyond_the_float_range_is_named(self, valid_file):
+    @pytest.mark.parametrize("name", ["two_bus", "unbalanced_ten_bus"])
+    def test_v0_beyond_the_float_range_is_named(self, name):
         proc = run_cli(
-            "solve", valid_file, "--method", "linear-full",
+            "solve", str(DATA / f"{name}.json"), "--method", "linear-full",
             "--v0", "1.7e308+1.7e308j",
         )
         assert proc.returncode == 3
         assert proc.stdout == ""
-        assert proc.stderr == (
-            "solver error: |v0|^2 of the linearization point overflows: "
-            "|v0| = inf\n"
-        )
+        assert proc.stderr == HUGE_V0_ERROR
 
     @pytest.mark.parametrize("method", ["linear-simple", "bfs"])
     def test_finite_result_at_the_float_range_is_written(
@@ -414,6 +436,65 @@ class TestNonFiniteResult:
             capsys.readouterr().out, parse_constant=_reject_constant
         )
         assert doc["metrics"]["v_min"] == pytest.approx(2**0.5 * 1e308)
+
+
+def _json_paths(node, prefix=()):
+    """Every path into a JSON document, the document itself first."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _json_paths(child, (*prefix, key))
+
+
+FEEDER_DOCS = {
+    name: json.loads((DATA / f"{name}.json").read_text()) for name in FEEDERS
+}
+FEEDER_PATHS = {
+    name: list(_json_paths(doc)) for name, doc in FEEDER_DOCS.items()
+}
+HOSTILE_VALUES = [
+    *({"re": re, "im": im} for re in (1.7e308, -1.7e308)
+      for im in (1.7e308, -1.7e308)),
+    {"mag": 1.7e308, "angle_deg": 45},
+    1e-320, 0, -1, 1e154, True, None, "x", [], {},
+]
+FUZZ_COMMANDS = [
+    [command, *(("--method", method) if method else ())]
+    for command, method in COMMANDS
+] + [["solve", "--method", "linear-full", "--v0", "1.7e308+1.7e308j"]]
+
+
+@st.composite
+def _hostile_documents(draw):
+    """A bundled feeder's document with one value, or one subtree, replaced
+    by a hostile value."""
+    name = draw(st.sampled_from(FEEDERS))
+    path = draw(st.sampled_from(FEEDER_PATHS[name]))
+    value = draw(st.sampled_from(HOSTILE_VALUES))
+    if not path:
+        return value
+    doc = copy.deepcopy(FEEDER_DOCS[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@given(doc=_hostile_documents(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_every_document_has_an_exit_code(doc, command):
+    # The exit-code contract holds for any input: main returns a code and
+    # raises nothing. The file is made here, as hypothesis runs the body
+    # many times per call of a function-scoped fixture such as tmp_path.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feeder.json"
+        path.write_text(json.dumps(doc))
+        assert main([command[0], str(path), *command[1:]]) in (0, 1, 2, 3)
 
 
 class TestDeterminism:

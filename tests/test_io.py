@@ -546,6 +546,8 @@ BAD_DOCS = {
     "asymmetric-then-nan-load": ("unbalanced_ten_bus", _set(
         ("branches", 2, "impedance", 1), {"re": 0.5, "im": 0.0}), _set(
         ("loads", 0, "s_p"), _NAN)),
+    "overflowing-asymmetry": ("unbalanced_ten_bus", _set(
+        ("branches", 2, "impedance", 1), {"re": 1.7e308, "im": 1.7e308})),
     "eight-entries-then-nan": ("gen-3ph-n30", lambda d: d["branches"][5][
         "impedance"].pop(), _set(("branches", 9, "impedance", 2), _NAN)),
     "load-list-then-nan": ("gen-3ph-n30", _set(("loads", 2, "s_p"), [
@@ -689,6 +691,10 @@ EXPECTED_ERRORS: dict[str, tuple[str, str]] = {
     "options-not-object": (
         "ParseError",
         "options: expected an object",
+    ),
+    "overflowing-asymmetry": (
+        "ParseError",
+        "branches[2]: branch b3: impedance matrix is not symmetric",
     ),
     "scalar-3ph-impedance": (
         "ParseError",

@@ -15,7 +15,6 @@ from radialflow import (
     Branch,
     ConvergenceError,
     Feeder,
-    LinearizationPoint,
     SingularError,
     ZipLoad,
     assemble,
@@ -31,6 +30,7 @@ from radialflow import (
     summarize,
     v_min,
 )
+from radialflow.linsolve import check_v0
 from radialflow.loads import PHASE_ROTATIONS
 from helpers import (
     chain_feeder,
@@ -38,6 +38,7 @@ from helpers import (
     linear_full_system,
     perfbench_gen,
     random_radial_feeder,
+    real_embedding,
     shuffled,
     singular_pivot_feeder,
     stacked_solve,
@@ -401,6 +402,26 @@ class TestSolveLinearFull:
             error = solve(feeder, "linear-full").voltages - exact
             assert np.max(np.abs(error)) <= 1e-15
 
+    def test_other_points_match_a_fifty_digit_solve(self):
+        # Away from the slack voltage, the real embedding of
+        # M1 x + diag(m2) conj(x) = b solved by LU in 50-digit arithmetic.
+        for feeder in _linear_full_feeders(np.random.default_rng(23)):
+            for v0 in (1.05, 0.97 + 0.02j):
+                m1, m2, b = linear_full_system(feeder, v0)
+                if not np.any(m2):
+                    continue  # v0 is this feeder's slack voltage
+                stacked, rhs = real_embedding(m1, m2, b)
+                with mpmath.workdps(50):
+                    xy = mpmath.lu_solve(
+                        mpmath.matrix(stacked.tolist()),
+                        mpmath.matrix(rhs.tolist()),
+                    )
+                    xy = np.array([float(v) for v in xy])
+                exact = xy[: b.size] + 1j * xy[b.size:]
+                x = solve(feeder, "linear-full", v0=v0).voltages
+                error = x[feeder.phase_count:] - exact
+                assert np.max(np.abs(error)) <= 2e-15
+
     def test_default_point_matches_the_stacked_real_solve(self):
         for feeder in _linear_full_feeders(np.random.default_rng(22)):
             x = solve(feeder, "linear-full").voltages[feeder.phase_count:]
@@ -468,8 +489,10 @@ class TestSolveLinearFull:
 
     def test_default_point_is_slack_voltage(self):
         feeder = chain_feeder(3, 0.01 + 0.02j, v_s=1.04 + 0j)
-        point = LinearizationPoint.for_feeder(feeder)
-        assert point.phasors == (1.04 + 0j,)
+        assert np.array_equal(
+            solve(feeder, "linear-full").voltages,
+            solve(feeder, "linear-full", v0=1.04).voltages,
+        )
 
     def test_singular_system_is_a_singular_error(self):
         # I + h^2 D conj(s_z) = 1 + 0.5 * -2 = 0 and the linearization
@@ -478,20 +501,13 @@ class TestSolveLinearFull:
         with pytest.raises(SingularError):
             solve_linear_full(feeder)
 
-    def test_solve_takes_a_linearization_point(self):
-        feeder = radialflow.example_feeder("unbalanced_ten_bus")
-        point = LinearizationPoint.from_scalar(1.02, 3)
-        by_point = solve(feeder, "linear-full", v0=point)
-        assert np.array_equal(
-            by_point.voltages, solve(feeder, "linear-full", v0=1.02).voltages
-        )
-        default = LinearizationPoint.for_feeder(feeder)
-        assert np.array_equal(
-            solve(feeder, "linear-full", v0=default).voltages,
-            solve(feeder, "linear-full").voltages,
-        )
-        with pytest.raises(ValueError, match="1 phasors for a 3-phase"):
-            solve(feeder, "linear-full", v0=LinearizationPoint((1.02 + 0j,)))
+    def test_slack_voltage_as_v0_is_the_default(self):
+        # A given v0 is rotated into each phase as the slack voltage is.
+        for feeder in _linear_full_feeders(np.random.default_rng(23)):
+            given = solve(feeder, "linear-full", v0=feeder.slack_voltage)
+            assert np.array_equal(
+                given.voltages, solve(feeder, "linear-full").voltages
+            )
 
 
 class TestThreePhase:
@@ -586,17 +602,14 @@ def test_oracle_proximity_light_load():
 def test_point_beyond_the_float_range_of_its_magnitude_is_named():
     # |v0| itself overflows: the point is valid, and linear-full names it.
     huge = complex(1.7e308, 1.7e308)
-    assert LinearizationPoint((huge,)).phasors == (huge,)
+    assert check_v0(huge) == huge
     with pytest.raises(SingularError, match=r"overflows: \|v0\| = inf$"):
         solve(two_bus_feeder(), "linear-full", v0=huge)
 
 
 def test_linearization_point_validation():
     with pytest.raises(ValueError):
-        LinearizationPoint((0j,))
-    feeder = two_bus_feeder()
-    with pytest.raises(ValueError):
-        solve_linear_full(feeder, LinearizationPoint((1.0 + 0j, 1.0 + 0j)))
+        check_v0(0j)
 
 
 @pytest.mark.parametrize(
@@ -605,7 +618,7 @@ def test_linearization_point_validation():
 )
 def test_linearization_point_rejects_non_finite_phasors(value):
     with pytest.raises(ValueError, match="positive magnitude"):
-        LinearizationPoint((value,))
+        check_v0(value)
     with pytest.raises(ValueError, match="positive magnitude"):
         solve(two_bus_feeder(), "linear-full", v0=value)
 
