@@ -15,11 +15,14 @@ Two solver modes are exposed:
 * ``full``: keeps the conjugate term, generalized to an arbitrary
   linearization point: one complex number ``v0``, rotated into each phase
   as the slack voltage is. At the default point, the slack voltage, the
-  conjugate coefficient vanishes and the system is solved as one complex
-  system; at any other point it is conjugate-linear and is solved by
-  stacking real and imaginary parts. At a slack voltage of 1 p.u. it
-  coincides with the simple mode; away from 1 p.u. accuracy improves when
-  the linearization point tracks the slack voltage.
+  conjugate coefficient vanishes and the system is complex-linear, its
+  unknowns coupled only through the slots holding a constant-impedance
+  load: one complex solve over those slots. At any other point it is
+  conjugate-linear and is solved by stacking real and imaginary parts. At
+  a slack voltage of 1 p.u. it coincides with the simple mode. Away from
+  1 p.u. the default point is the more accurate of the two modes at light
+  load, but the less accurate at heavier load, where the simple mode's
+  frozen nominal sits inside the voltage drop.
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ import numpy as np
 
 from .errors import SingularError
 from .loads import PHASE_ROTATIONS, load_vectors, rotate_into_phases
-from .network import Feeder, impedance_blocks, path_sums, reduced_impedance
+from .network import (
+    Feeder,
+    impedance_blocks,
+    path_sums,
+    reduced_impedance,
+    subtree_sums,
+)
 
 if TYPE_CHECKING:
     from .bfs import BfsOptions
@@ -121,6 +130,62 @@ def _system_parts(feeder: Feeder):
         sys_a *= h * h
         sys_a.flat[:: size + 1] += 1.0
     return sys_a, p_base, i_base, rho
+
+
+def _solve_at_slack(feeder: Feeder) -> np.ndarray:
+    """linear-full's non-slack unknowns at its default point, the slack
+    phasors v_s rho.
+
+    The conjugate term vanishes there, and each row divided by c_v reads
+    x = v_s rho - D (w + u): w = (h conj(s_i) + conj(s_p) / conj(v_s)) rho
+    is a fixed injection and u = C x, C = h^2 conj(s_z), is nonzero only at
+    the slots K holding a constant-impedance load. So with r = v_s rho - D w
+    the unknowns couple only through (I + D_KK C_K) x_K = r_K. That block is
+    gathered into the front of D's own array and factored; D is then freed,
+    and every other voltage is x = r - D u, D u = U^-1 Z U^-T u taken on the
+    tree.
+    """
+    h, p = feeder.h, feeder.phase_count
+    # First, for the reason given in ``_system_parts``.
+    s_z, s_i, s_p = load_vectors(feeder)
+    d = reduced_impedance(None, feeder).d
+    s_z, s_i, s_p = s_z[p:], s_i[p:], s_p[p:]  # drop the slack slots
+    v_s = feeder.slack_voltage
+    # An overflowing h * h must give non-finite voltages, not numpy warnings:
+    # K is read from c, so that every slot it makes NaN is in the solve.
+    with np.errstate(all="ignore"):
+        c = np.conjugate(s_z) * (h * h)
+        w = h * np.conjugate(s_i) + np.conjugate(s_p) / np.conjugate(v_s)
+        w = w.reshape(-1, p) * rotate_into_phases(1.0, p)  # times rho
+        x = feeder.slack_phasors() - (d @ w.reshape(-1)).reshape(-1, p)
+        x = x.reshape(-1)
+        k = c.nonzero()[0]
+        if not k.size:
+            return x
+        c_k = c[k]
+        size = k.size
+        # Row i of the block overwrites no row k[j], j > i, of D, as
+        # k[j] >= j; each slice of rows is read whole before it is written.
+        # A slice holds 32 rows, or an eighth of the block's rows if more.
+        block = d.reshape(-1)[: size * size].reshape(size, size)
+        step = max(32, -(-size // 8))
+        for start in range(0, size, step):
+            rows = k[start:start + step, np.newaxis]
+            np.multiply(d[rows, k], c_k, out=block[start:start + step])
+        block.flat[:: size + 1] += 1.0
+        try:
+            x_k = np.linalg.solve(block, x[k])
+        except np.linalg.LinAlgError as exc:
+            raise SingularError(str(exc)) from exc
+        del d, block
+        tree = feeder.tree
+        u = np.zeros((len(tree.branches), p), dtype=np.complex128)
+        u.reshape(-1)[k] = c_k * x_k
+        currents = subtree_sums(tree, u)
+        drops = (impedance_blocks(feeder) @ currents[..., np.newaxis])[..., 0]
+        x -= path_sums(tree, 0.0, drops).reshape(-1)
+        x[k] = x_k
+    return x
 
 
 def assemble(feeder: Feeder) -> LinearModel:
@@ -281,10 +346,11 @@ def solve_linear_full(feeder: Feeder, v0: complex | None = None) -> Solution:
     around the linearization point: ``v0`` (checked by ``check_v0``), by
     default the slack voltage, rotated into each phase as the slack is. The
     conjugate coefficient m2 vanishes only when that point equals the
-    slack's phasors, as the default does. Then M1 x = b is solved as one
-    complex system of size np; otherwise the real and imaginary parts are
-    stacked into one real system of twice the size. Either way the method
-    stays non-iterative.
+    slack's phasors, as the default does. Then M1 x = b is solved by
+    ``_solve_at_slack``, one complex factorization of the slots holding a
+    constant-impedance load; otherwise the real and imaginary parts are
+    stacked into one real system of size 2np. Either way the method stays
+    non-iterative.
     """
     with np.errstate(over="ignore"):
         # A finite point may overflow once rotated into a phase.
@@ -300,8 +366,13 @@ def solve_linear_full(feeder: Feeder, v0: complex | None = None) -> Solution:
                 "|v0|^2 of the linearization point overflows: |v0| = "
                 f"{np.abs(point).max():.3e}"
             )
+    m2 = c_vbar - slack
+    if not m2.any():
+        # v0 is the slack voltage (the default): the conjugate term
+        # vanishes and the system is complex-linear.
+        return _solution(feeder, _solve_at_slack(feeder), "linear-full")
     sys_a, p_base, i_base, rho = _system_parts(feeder)
-    m2_diag = _per_unknown(c_vbar - slack, feeder)
+    m2_diag = _per_unknown(m2, feeder)
     c_v, c_0 = _per_unknown(c_v, feeder), _per_unknown(c_0, feeder)
 
     # Rows live in voltage-squared units: the conjugate-voltage expansion of
@@ -312,15 +383,6 @@ def solve_linear_full(feeder: Feeder, v0: complex | None = None) -> Solution:
         m1 = np.multiply(c_v[:, np.newaxis], sys_a, out=sys_a)
     b = -np.conjugate(rho) * p_base - c_v * feeder.h * i_base - c_0
 
-    if not m2_diag.any():
-        # v0 is the slack voltage (the default): M1 x = b is complex-linear,
-        # one complex LU of half the flops and half the bytes of the real
-        # embedding below.
-        try:
-            x = np.linalg.solve(m1, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularError(str(exc)) from exc
-        return _solution(feeder, x, "linear-full")
     size = m1.shape[0]
     stacked = np.zeros((2 * size, 2 * size))
     stacked[:size, :size] = m1.real

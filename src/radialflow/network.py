@@ -177,6 +177,30 @@ class Feeder:
         return stack
 
     @cached_property
+    def checked_impedances(self) -> np.ndarray:
+        """``impedances``, checked once per feeder object against the
+        minimum-magnitude tolerance on first use; a failing check raises
+        SingularError, and again on every later use."""
+        branches = self.tree.branches
+        p = self.phase_count
+        stack = self.impedances
+        if p == 1:
+            small = np.abs(stack[:, 0, 0]) < MIN_IMPEDANCE
+        else:
+            small = np.abs(np.linalg.det(stack)) < MIN_IMPEDANCE**3
+        if np.any(small):
+            row = int(np.argmax(small))
+            if p == 1:
+                raise SingularError(
+                    f"branch {branches[row].id}: impedance magnitude "
+                    f"{abs(stack[row, 0, 0]):.3e} is below {MIN_IMPEDANCE:g}"
+                )
+            raise SingularError(
+                f"branch {branches[row].id}: impedance matrix is singular"
+            )
+        return stack
+
+    @cached_property
     def load_table(self) -> LoadTable:
         """The loads summed per node and phase (wye) and per node and leg
         (delta), with the load factors of their slots at voltage scale
@@ -434,25 +458,9 @@ def build_incidence(feeder: Feeder) -> IncidenceModel:
 
 def impedance_blocks(feeder: Feeder) -> np.ndarray:
     """``feeder.impedances``, the read-only (m, p, p) stack in incidence row
-    order, checked against the minimum-magnitude tolerance."""
-    branches = feeder.tree.branches
-    p = feeder.phase_count
-    stack = feeder.impedances
-    if p == 1:
-        small = np.abs(stack[:, 0, 0]) < MIN_IMPEDANCE
-    else:
-        small = np.abs(np.linalg.det(stack)) < MIN_IMPEDANCE**3
-    if np.any(small):
-        row = int(np.argmax(small))
-        if p == 1:
-            raise SingularError(
-                f"branch {branches[row].id}: impedance magnitude "
-                f"{abs(stack[row, 0, 0]):.3e} is below {MIN_IMPEDANCE:g}"
-            )
-        raise SingularError(
-            f"branch {branches[row].id}: impedance matrix is singular"
-        )
-    return stack
+    order, checked against the minimum-magnitude tolerance once per feeder
+    (``Feeder.checked_impedances``)."""
+    return feeder.checked_impedances
 
 
 def _block_diagonal(stack: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from radialflow import (
     v_min,
 )
 from radialflow.linsolve import check_v0
-from radialflow.loads import PHASE_ROTATIONS
+from radialflow.loads import PHASE_ROTATIONS, load_vectors
 from helpers import (
     chain_feeder,
     dense_linear_system,
@@ -500,6 +500,95 @@ class TestSolveLinearFull:
         feeder = two_bus_feeder(z=0.5 + 0j, s_z=-2 + 0j)
         with pytest.raises(SingularError):
             solve_linear_full(feeder)
+
+    @staticmethod
+    def _restricted_solve(feeder, monkeypatch):
+        """linear-full at its default point, the shapes of the matrices it
+        factored and the number of slots holding a constant-impedance load;
+        asserts the voltages match the dense oracle M1 x = b to 2e-15
+        relative."""
+        shapes = []
+        solve_dense = np.linalg.solve
+
+        def recorded(a, b):
+            shapes.append(a.shape)
+            return solve_dense(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        x = solve(feeder, "linear-full").voltages[feeder.phase_count:]
+        monkeypatch.undo()
+        m1, m2, b = linear_full_system(feeder)
+        assert not np.any(m2)
+        exact = np.linalg.solve(m1, b)
+        assert np.max(np.abs(x - exact)) <= 2e-15 * np.max(np.abs(exact))
+        impedance_slots = np.count_nonzero(
+            load_vectors(feeder)[0][feeder.phase_count:]
+        )
+        return shapes, impedance_slots
+
+    @pytest.mark.parametrize("profile", ["i_only", "p_only"])
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_no_impedance_load_factors_nothing(
+        self, profile, phase_count, monkeypatch
+    ):
+        rng = np.random.default_rng(31)
+        for n in (2, 9, 24):
+            feeder = random_radial_feeder(
+                rng, n, phase_count, profile=profile, v_s=1.03 - 0.01j,
+                delta_fraction=0.4 if phase_count == 3 else 0.0,
+            )
+            shapes, slots = self._restricted_solve(feeder, monkeypatch)
+            assert (shapes, slots) == ([], 0)
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_impedance_load_in_every_slot(self, phase_count, monkeypatch):
+        rng = np.random.default_rng(32)
+        for n in (2, 11, 26):
+            feeder = random_radial_feeder(
+                rng, n, phase_count, v_s=0.98 + 0.02j
+            )
+            feeder = replace(feeder, loads=tuple(
+                ZipLoad(node, s_z=complex(*rng.uniform(0.01, 0.05, 2)),
+                        s_p=complex(*rng.uniform(0.0, 0.05, 2)))
+                for node in feeder.nodes[1:]
+            ))
+            shapes, slots = self._restricted_solve(feeder, monkeypatch)
+            assert slots == (n - 1) * phase_count
+            assert shapes == [(slots, slots)]
+
+    def test_single_phase_wye_and_delta_loads(self, monkeypatch):
+        # Three-phase feeders whose loads sit on single phases and delta
+        # legs: K holds one or two of each node's three phases.
+        rng = np.random.default_rng(33)
+        for n in (5, 14, 30):
+            feeder = random_radial_feeder(rng, n, 3, v_s=1.04)
+            loads = []
+            for node in feeder.nodes[1:]:
+                connection = ("wye", "delta")[int(rng.integers(2))]
+                phase = ("a", "b", "c")[int(rng.integers(3))]
+                loads.append(ZipLoad(
+                    node, phase=phase, connection=connection,
+                    s_z=complex(*rng.uniform(0.01, 0.04, 2)),
+                    s_i=0.02 + 0.01j, s_p=0.03 + 0.01j,
+                ))
+            feeder = replace(feeder, loads=tuple(loads))
+            shapes, slots = self._restricted_solve(feeder, monkeypatch)
+            assert 0 < slots < (n - 1) * 3
+            assert shapes == [(slots, slots)]
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_any_node_order_factors_only_the_impedance_slots(
+        self, phase_count, monkeypatch
+    ):
+        rng = np.random.default_rng(34)
+        for k in range(6):
+            feeder = shuffled(rng, random_radial_feeder(
+                rng, int(rng.integers(3, 30)), phase_count, profile="zip",
+                v_s=complex(rng.uniform(0.95, 1.06), 0.01),
+                delta_fraction=0.4 if phase_count == 3 else 0.0,
+            ))
+            shapes, slots = self._restricted_solve(feeder, monkeypatch)
+            assert shapes == ([(slots, slots)] if slots else [])
 
     def test_slack_voltage_as_v0_is_the_default(self):
         # A given v0 is rotated into each phase as the slack voltage is.

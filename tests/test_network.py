@@ -686,6 +686,42 @@ class TestImpedanceStack:
         rebuilt = replace(feeder).impedances
         assert handed.dtype == rebuilt.dtype
         assert np.array_equal(handed, rebuilt)
+        # Parse hands over the stack, not its check.
+        assert "checked_impedances" not in vars(feeder)
+
+    def test_stack_is_checked_once_per_feeder(self, monkeypatch):
+        feeder = random_radial_feeder(np.random.default_rng(42), 12, 3)
+        calls = []
+        det = np.linalg.det
+
+        def counted(stack):
+            calls.append(stack.shape)
+            return det(stack)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        first = impedance_blocks(feeder)
+        assert impedance_blocks(feeder) is first
+        assert calls == [(11, 3, 3)]
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_failing_check_raises_from_every_entry_point(self, phase_count):
+        from radialflow import assemble
+
+        feeder = random_radial_feeder(
+            np.random.default_rng(43), 6, phase_count
+        )
+        tiny = 1e-10 if phase_count == 1 else tuple(
+            tuple(1e-10 if i == j else 0.0 for j in range(3))
+            for i in range(3)
+        )
+        branches = list(feeder.branches)
+        branches[3] = replace(branches[3], impedance=tiny)
+        feeder = replace(feeder, branches=tuple(branches))
+        for call in (assemble, solve_bfs, assemble):
+            with pytest.raises(
+                SingularError, match=f"^branch {branches[3].id}: impedance"
+            ):
+                call(feeder)
 
 
 def test_single_node_feeder_is_trivial():
