@@ -21,8 +21,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .linsolve import Solution
 from .loads import nodal_injections
-from .network import Feeder, build_incidence, impedance_blocks, ybus
-from .network import path_sums, subtree_sums
+from .network import Feeder, build_incidence, path_sums, subtree_sums, ybus
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ def solve_bfs(feeder: Feeder, opts: BfsOptions | None = None) -> Solution:
     feeder is not radial and SingularError on a degenerate impedance."""
     opts = opts or BfsOptions()
     tree = feeder.tree
-    z = impedance_blocks(feeder)
+    z = feeder.checked_impedances
     p = feeder.phase_count
     n = len(feeder.nodes)
     slack = feeder.slack_phasors()

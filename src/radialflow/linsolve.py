@@ -37,9 +37,10 @@ from .errors import SingularError
 from .loads import PHASE_ROTATIONS, load_vectors, rotate_into_phases
 from .network import (
     Feeder,
-    impedance_blocks,
+    eliminate,
     path_sums,
     reduced_impedance,
+    substitute,
     subtree_sums,
 )
 
@@ -88,7 +89,8 @@ class Solution:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """One feeder's simple-mode system, eliminated leaves first.
+    """One feeder's simple-mode system, eliminated leaves first by
+    ``network.eliminate``; ``network.substitute`` solves it.
 
     ``drops`` has shape (m, p, p + 1). Row k - 1 (node k, the incidence row
     order) is z_k [A | B] with A and B as in ``assemble``: the voltage drop
@@ -178,11 +180,11 @@ def _solve_at_slack(feeder: Feeder) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise SingularError(str(exc)) from exc
         del d, block
-        tree = feeder.tree
+        tree, z = feeder.tree, feeder.checked_impedances
         u = np.zeros((len(tree.branches), p), dtype=np.complex128)
         u.reshape(-1)[k] = c_k * x_k
         currents = subtree_sums(tree, u)
-        drops = (impedance_blocks(feeder) @ currents[..., np.newaxis])[..., 0]
+        drops = (z @ currents[..., np.newaxis])[..., 0]
         x -= path_sums(tree, 0.0, drops).reshape(-1)
         x[k] = x_k
     return x
@@ -198,13 +200,11 @@ def assemble(feeder: Feeder) -> LinearModel:
     I_k = A_k x_k + B_k, with [A_k | B_k] node k's [C_k | w_k] plus its
     children's eliminated rows, and substituting x_k eliminates it to
     I_k = A x_parent + B with [A | B] = (I + A_k z_k)^-1 [A_k | B_k], leaves
-    first, without forming D: one numpy step per depth level on
-    three-phase feeders, and a scalar loop over ``tree.downward`` on
-    single-phase ones, whose levels hold too few numbers to repay a numpy
-    call.
+    first, without forming D: ``network.eliminate`` on the stack seeded with
+    [C_k | w_k]. The drops are z_k [A | B].
     """
     s_z, s_i, s_p = load_vectors(feeder)
-    z = impedance_blocks(feeder)
+    z = feeder.checked_impedances
     tree, p, h = feeder.tree, feeder.phase_count, feeder.h
     m = len(tree.branches)
     s_z, s_i, s_p = s_z[p:], s_i[p:], s_p[p:]  # drop the slack slots
@@ -227,75 +227,14 @@ def assemble(feeder: Feeder) -> LinearModel:
         # nominal magnitude 1/h; it is unity in per-unit analysis.
         rho = _per_unknown(PHASE_ROTATIONS[:p], feeder)
         w = h * (np.conjugate(s_p) + np.conjugate(s_i)) * rho
-        if p == 1:
-            drops = _eliminate_scalar(feeder, c, w, z.reshape(m)) * z
-        else:
-            drops = z @ _eliminate_blocks(feeder, c, w, z)
+        stack = np.zeros((m, p, p + 1), dtype=np.complex128)
+        # A's diagonal is every (p + 2)-th entry of a row's [A | B]: a view,
+        # cheaper than fancy indexing on small feeders.
+        stack.reshape(m, p * (p + 1))[:, :: p + 2] = c.reshape(m, p)
+        stack[:, :, p] = w.reshape(m, p)
+        eliminate(feeder, stack)
+        drops = stack * z if p == 1 else z @ stack
     return LinearModel(drops=drops, feeder=feeder)
-
-
-def _eliminate_blocks(
-    feeder: Feeder, c: np.ndarray, w: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """``assemble``'s elimination as an (m, p, p + 1) stack of [A | B], from
-    the node-major loads ``c`` and ``w`` and the (m, p, p) impedances
-    ``z``: one batched solve and one ``np.add.at`` into the parents per
-    depth level, deepest first."""
-    m, p, _ = z.shape
-    stack = np.zeros((m, p, p + 1), dtype=np.complex128)
-    stack[:, range(p), range(p)] = c.reshape(m, p)
-    stack[:, :, p] = w.reshape(m, p)
-    eye = np.eye(p)
-    for rows, parents in reversed(feeder.tree.schedule):
-        block = stack[rows]
-        pivots = eye + block[:, :, :p] @ z[rows]
-        try:
-            block = np.linalg.solve(pivots, block)
-        except np.linalg.LinAlgError:
-            raise _singular_pivot(feeder, np.arange(m)[rows], pivots) from None
-        stack[rows] = block
-        if parents is not None:
-            np.add.at(stack, parents, block)
-    return stack
-
-
-def _singular_pivot(
-    feeder: Feeder, rows: np.ndarray, pivots: np.ndarray
-) -> SingularError:
-    """The error naming the first node of one depth level (its ``rows``)
-    whose elimination pivot in ``pivots`` cannot be solved against."""
-    for row, pivot in zip(rows.tolist(), pivots):
-        try:
-            np.linalg.solve(pivot, pivot)
-        except np.linalg.LinAlgError:
-            return SingularError(
-                f"elimination pivot of node {feeder.nodes[row + 1]} "
-                "is singular"
-            )
-    return SingularError("elimination pivot is singular")
-
-
-def _eliminate_scalar(
-    feeder: Feeder, c: np.ndarray, w: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """``assemble``'s elimination on a single-phase feeder as an (m, 1, 2)
-    stack of [A | B], from the loads ``c`` and ``w`` and the impedances
-    ``z``, one entry per row: a scalar loop over ``tree.downward`` in
-    reverse, node k in slot k and the slack's unread sums in slot 0."""
-    a, b, z = [0j, *c.tolist()], [0j, *w.tolist()], [0j, *z.tolist()]
-    nodes, parents = feeder.tree.downward
-    for node, up in zip(reversed(nodes), reversed(parents)):
-        pivot = 1.0 + a[node] * z[node]
-        try:
-            a[node] /= pivot
-            b[node] /= pivot
-        except ZeroDivisionError:
-            raise SingularError(
-                f"elimination pivot of node {feeder.nodes[node]} is zero"
-            ) from None
-        a[up] += a[node]
-        b[up] += b[node]
-    return np.array((a[1:], b[1:]), dtype=np.complex128).T.reshape(-1, 1, 2)
 
 
 def _solution(feeder: Feeder, x: np.ndarray, method: str) -> Solution:
@@ -314,29 +253,10 @@ def _solution(feeder: Feeder, x: np.ndarray, method: str) -> Solution:
 
 def solve_linear(model: LinearModel) -> Solution:
     """Solve the simple-mode system in one shot: the voltages down the tree
-    from the slack, x_k = x_parent - ``drops`` [x_parent; 1], one numpy
-    step per depth level of ``tree.schedule``, or one scalar step per node
-    of ``tree.downward`` on single-phase feeders."""
-    feeder = model.feeder
-    tree, p = feeder.tree, feeder.phase_count
-    slack = feeder.slack_phasors()
-    if p == 1:
-        gain, offset = ([0j, *row] for row in model.drops[:, 0].T.tolist())
-        x = [complex(slack[0])] * len(gain)  # node k in slot k, slack in 0
-        for node, up in zip(*tree.downward):
-            upper = x[up]
-            x[node] = upper - (gain[node] * upper + offset[node])
-        x = np.array(x[1:], dtype=np.complex128)
-        return _solution(feeder, x, "linear-simple")
-    x = np.empty((len(tree.branches), p), dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        for rows, parents in tree.schedule:
-            upper = slack if parents is None else x[parents]
-            gain, offset = model.drops[rows, :, :p], model.drops[rows, :, p]
-            x[rows] = upper - (
-                (gain @ upper[..., np.newaxis])[..., 0] + offset
-            )
-    return _solution(feeder, x.reshape(-1), "linear-simple")
+    from the slack, x_k = x_parent - ``drops`` [x_parent; 1], by
+    ``network.substitute``."""
+    x = substitute(model.feeder, model.drops)
+    return _solution(model.feeder, x.reshape(-1), "linear-simple")
 
 
 def solve_linear_full(feeder: Feeder, v0: complex | None = None) -> Solution:

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DimensionError, UnsupportedPhaseError
 from .linsolve import Solution
 from .loads import nodal_injections
-from .network import Feeder, IncidenceModel, impedance_blocks
+from .network import Feeder, IncidenceModel
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def branch_flows(
     ends = feeder.tree.ends
     v_from = v[ends[:, 0]]
     drops = v_from - v[ends[:, 1]]
-    currents = np.linalg.solve(impedance_blocks(feeder), drops[..., None])
+    currents = np.linalg.solve(feeder.checked_impedances, drops[..., None])
     currents = currents[..., 0]
     sending = v_from * np.conjugate(currents)
     return BranchFlows(

@@ -12,10 +12,13 @@ subtree. ``path_sums`` and ``subtree_sums`` do so in place with one Python
 walk per column of a payload, one row per node, over flat (node, parent)
 sequences each tree builds once (``TreeInfo.downward`` and ``upward``),
 converting the payload to Python lists and back once per call;
-``reduced_impedance`` and linear-simple's single-phase loops walk
-``downward`` too, so no other module reads the walk order itself. The
-bus admittance Y = A^T C A is scattered from the per-branch admittance
-blocks, without forming A or any dense product.
+``reduced_impedance`` walks ``downward`` too. linear-simple's direct solve
+is ``eliminate``, leaves first, and ``substitute``, down from the slack:
+scalar loops over ``downward`` on single-phase feeders and one numpy step
+per depth level of ``TreeInfo.schedule`` on three-phase ones. So no other
+module reads the walk order itself. The bus admittance Y = A^T C A is
+scattered from the per-branch admittance blocks, without forming A or any
+dense product.
 """
 
 from __future__ import annotations
@@ -268,7 +271,7 @@ class TreeInfo:
     def downward(self) -> tuple:
         """The walk of ``path_sums`` as flat (nodes, parents) tuples, built
         once per tree: every non-slack node in walk order, parents
-        first."""
+        first. The single-phase ``eliminate`` walks it in reverse."""
         nodes = self.order[1:]
         return nodes, tuple(map(self.parent.__getitem__, nodes))
 
@@ -289,8 +292,8 @@ class TreeInfo:
         """The walk in incidence rows (node k is row k - 1): per depth level
         from 1, its rows (a slice, so a view, when the nodes are listed in
         walk order, as parsed feeders are) and its parents' rows (None for
-        the slack's children). Only the three-phase elimination and
-        substitution of linear-simple read it."""
+        the slack's children). Only ``eliminate`` and ``substitute`` read
+        it, on three-phase feeders."""
         rows = np.asarray(self.order[1:], dtype=np.intp) - 1
         parents = np.asarray(self.parent, dtype=np.intp)[rows + 1] - 1
         in_walk_order = self.order == tuple(range(len(self.order)))
@@ -456,13 +459,6 @@ def build_incidence(feeder: Feeder) -> IncidenceModel:
     )
 
 
-def impedance_blocks(feeder: Feeder) -> np.ndarray:
-    """``feeder.impedances``, the read-only (m, p, p) stack in incidence row
-    order, checked against the minimum-magnitude tolerance once per feeder
-    (``Feeder.checked_impedances``)."""
-    return feeder.checked_impedances
-
-
 def _block_diagonal(stack: np.ndarray) -> np.ndarray:
     """Dense block-diagonal matrix of an (m, p, p) stack."""
     m, p, _ = stack.shape
@@ -479,7 +475,7 @@ def branch_impedance_matrix(
 
     Read from ``feeder.tree`` alone; ``inc`` is unused and may be None.
     """
-    return _block_diagonal(impedance_blocks(feeder))
+    return _block_diagonal(feeder.checked_impedances)
 
 
 def _walk(
@@ -522,6 +518,85 @@ def subtree_sums(tree: TreeInfo, values: np.ndarray) -> np.ndarray:
     order."""
     nodes, parents = tree.upward
     return _walk(values, 0, parents, nodes)
+
+
+def eliminate(feeder: Feeder, stack: np.ndarray) -> np.ndarray:
+    """Leaves first, in place on the (m, p, p + 1) ``stack``: row k - 1,
+    node k's own loads [A_k | B_k], gains its children's eliminated rows and
+    becomes [A | B] = (I + A_k z_k)^-1 [A_k | B_k], z_k the impedance
+    feeding node k: the subtree's current A x_parent + B. Returns ``stack``.
+    A scalar loop over ``tree.downward`` in reverse when p = 1, as a level
+    holds too few numbers to repay a numpy call; otherwise one batched
+    solve and one ``np.add.at`` per level of ``tree.schedule``. A zero or
+    singular pivot raises SingularError naming its node, the level's last
+    in walk order if several are: the one the scalar loop meets first."""
+    tree, z = feeder.tree, feeder.checked_impedances
+    m, p, _ = stack.shape
+    if p == 1:
+        a, b = ([0j, *column] for column in stack[:, 0].T.tolist())
+        z = [0j, *z.reshape(m).tolist()]
+        nodes, parents = tree.downward
+        for node, up in zip(reversed(nodes), reversed(parents)):
+            pivot = 1.0 + a[node] * z[node]
+            try:
+                a[node] /= pivot
+                b[node] /= pivot
+            except ZeroDivisionError:
+                raise SingularError(
+                    f"elimination pivot of node {feeder.nodes[node]} is zero"
+                ) from None
+            a[up] += a[node]
+            b[up] += b[node]
+        stack[:, 0, 0], stack[:, 0, 1] = a[1:], b[1:]
+        return stack
+    eye = np.eye(p)
+    for rows, parents in reversed(tree.schedule):
+        block = stack[rows]
+        pivots = eye + block[:, :, :p] @ z[rows]
+        try:
+            block = np.linalg.solve(pivots, block)
+        except np.linalg.LinAlgError:
+            level = np.arange(m)[rows].tolist()
+            for row, pivot in zip(reversed(level), pivots[::-1]):
+                try:
+                    np.linalg.solve(pivot, pivot)
+                except np.linalg.LinAlgError:
+                    raise SingularError(
+                        f"elimination pivot of node {feeder.nodes[row + 1]} "
+                        "is singular"
+                    ) from None
+            raise SingularError("elimination pivot is singular") from None
+        stack[rows] = block
+        if parents is not None:
+            np.add.at(stack, parents, block)
+    return stack
+
+
+def substitute(feeder: Feeder, drops: np.ndarray) -> np.ndarray:
+    """Down the tree from the slack phasors: the (m, p) voltages, row
+    k - 1 node k's x_k = x_parent - ``drops``[k - 1] [x_parent; 1], with
+    ``drops`` the impedances times the stack ``eliminate`` leaves. Parents
+    first: a scalar loop over ``tree.downward`` when p = 1, with node k in
+    slot k and the slack in slot 0; otherwise one numpy step per level of
+    ``tree.schedule``."""
+    tree, p = feeder.tree, feeder.phase_count
+    slack = feeder.slack_phasors()
+    if p == 1:
+        gain, offset = ([0j, *row] for row in drops[:, 0].T.tolist())
+        x = [complex(slack[0])] * len(gain)
+        for node, up in zip(*tree.downward):
+            upper = x[up]
+            x[node] = upper - (gain[node] * upper + offset[node])
+        return np.array(x[1:], dtype=np.complex128).reshape(-1, 1)
+    x = np.empty((len(tree.branches), p), dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        for rows, parents in tree.schedule:
+            upper = slack if parents is None else x[parents]
+            gain, offset = drops[rows, :, :p], drops[rows, :, p]
+            x[rows] = upper - (
+                (gain @ upper[..., np.newaxis])[..., 0] + offset
+            )
+    return x
 
 
 def reduced_impedance(
@@ -567,7 +642,7 @@ def ybus(inc: IncidenceModel, feeder: Feeder) -> np.ndarray:
     if inc.nodes != feeder.nodes:
         raise ValueError("incidence model belongs to a different feeder")
     n, p = len(feeder.nodes), feeder.phase_count
-    y = np.linalg.inv(impedance_blocks(feeder))
+    y = np.linalg.inv(feeder.checked_impedances)
     ends = feeder.tree.ends
     # Each node's diagonal block sums its branches in incidence row order.
     diagonal = np.zeros((n, p, p), dtype=np.complex128)

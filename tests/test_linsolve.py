@@ -188,6 +188,29 @@ class TestAssemble:
             solve_linear(assemble(feeder))
 
     @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_singular_pivots_of_one_level_name_its_last_node(
+        self, phase_count
+    ):
+        # Fork 1-2-{3, 4}: node 4 copies node 3's branch and load, so both
+        # pivots of their level are zero. Either phase count names node 4,
+        # the first that the scalar walk, last node of a level first, meets.
+        chain = singular_pivot_feeder(phase_count)
+        feeder = replace(
+            chain,
+            nodes=(*chain.nodes, "4"),
+            branches=(
+                *chain.branches,
+                replace(chain.branches[-1], id="b4", to_node="4"),
+            ),
+            loads=(*chain.loads, replace(chain.loads[0], node="4")),
+        )
+        with pytest.raises(
+            SingularError,
+            match=r"^elimination pivot of node 4 is (zero|singular)$",
+        ):
+            assemble(feeder)
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
     def test_sub_minimum_impedance_rejected(self, phase_count):
         # The elimination never inverts an impedance, but the model has no
         # zero-impedance switch, as in the other solvers.

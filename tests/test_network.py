@@ -1,8 +1,10 @@
+import ast
 import collections
 import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from radialflow import (
 )
 from radialflow.network import (
     branch_impedance_matrix,
-    impedance_blocks,
     in_walk_order,
     path_sums,
     subtree_sums,
@@ -426,6 +427,20 @@ class TestWalkKernels:
             radialflow.residual(feeder, sol)
         assert "schedule" not in vars(feeder.tree)
 
+    def test_only_network_reads_the_walk_order(self):
+        # The walk order is a decision of ``network``: no other module of
+        # the package reads a tree's walk, parents or depth levels.
+        walk = {"schedule", "downward", "upward", "order", "parent", "levels"}
+        package = Path(radialflow.__file__).parent
+        readers = [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "network.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in walk
+        ]
+        assert readers == []
+
 
 class TestYbus:
     def test_two_bus_closed_form(self):
@@ -675,7 +690,7 @@ class TestImpedanceStack:
         for block, branch in zip(stack, feeder.tree.branches):
             expected = np.reshape(branch.impedance, (phase_count,) * 2)
             assert np.array_equal(block, expected)
-        assert impedance_blocks(feeder) is stack
+        assert feeder.checked_impedances is stack
 
     @pytest.mark.parametrize("n, phase_count", [(40, 1), (30, 3)])
     def test_parse_hands_over_the_stack_it_read(self, n, phase_count):
@@ -699,8 +714,8 @@ class TestImpedanceStack:
             return det(stack)
 
         monkeypatch.setattr(np.linalg, "det", counted)
-        first = impedance_blocks(feeder)
-        assert impedance_blocks(feeder) is first
+        first = feeder.checked_impedances
+        assert feeder.checked_impedances is first
         assert calls == [(11, 3, 3)]
 
     @pytest.mark.parametrize("phase_count", [1, 3])
