@@ -9,9 +9,10 @@ Two solver modes are exposed:
 
 * ``simple``: drops the conjugate-voltage term, leaving one complex linear
   system per feeder, solved by elimination on the feeder tree.
-  Constant-impedance and constant-current loads are represented exactly;
-  constant-power loads enter as injections frozen at the nominal rotated
-  voltage.
+  Constant-current and wye constant-impedance loads are represented
+  exactly; a delta constant-impedance leg is split onto its two phases as
+  at balanced voltages, so it is exact only there. Constant-power loads
+  enter as injections frozen at the nominal rotated voltage.
 * ``full``: keeps the conjugate term, generalized to an arbitrary
   linearization point: one complex number ``v0``, rotated into each phase
   as the slack voltage is. At the default point, the slack voltage, the

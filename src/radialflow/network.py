@@ -13,9 +13,11 @@ walk per column of a payload, one row per node, over flat (node, parent)
 sequences each tree builds once (``TreeInfo.downward`` and ``upward``),
 converting the payload to Python lists and back once per call;
 ``reduced_impedance`` walks ``downward`` too. linear-simple's direct solve
-is ``eliminate``, leaves first, and ``substitute``, down from the slack:
-scalar loops over ``downward`` on single-phase feeders and one numpy step
-per depth level of ``TreeInfo.schedule`` on three-phase ones. So no other
+is ``eliminate``, leaves first, and ``substitute``, down from the slack,
+one Python walk over ``downward``. Single-phase ``eliminate`` is a scalar
+loop over it too; three-phase ``eliminate`` takes a few numpy steps per
+level of heavy chains (``TreeInfo.chains``), O(log depth) of them per
+level, where a depth level holds too few nodes to repay one. So no other
 module reads the walk order itself. The bus admittance Y = A^T C A is
 scattered from the per-branch admittance blocks, without forming A or any
 dense product.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -259,7 +262,9 @@ class TreeInfo:
     (-1 for the slack), and the branch feeding node k + 1, which is
     incidence row k, with the from/to positions of its stored orientation
     in ``ends`` (shape (m, 2)). Depth d of the walk is
-    ``order[levels[d]:levels[d + 1]]``; the slack alone is depth 0."""
+    ``order[levels[d]:levels[d + 1]]``; the slack alone is depth 0. The
+    walks of the kernels and the plan of the three-phase ``eliminate`` are
+    built on first use."""
 
     order: tuple[int, ...]
     parent: tuple[int, ...]
@@ -269,9 +274,10 @@ class TreeInfo:
 
     @cached_property
     def downward(self) -> tuple:
-        """The walk of ``path_sums`` as flat (nodes, parents) tuples, built
-        once per tree: every non-slack node in walk order, parents
-        first. The single-phase ``eliminate`` walks it in reverse."""
+        """The walk of ``path_sums`` and ``substitute`` as flat
+        (nodes, parents) tuples, built once per tree: every non-slack node
+        in walk order, parents first. The single-phase ``eliminate`` walks
+        it in reverse."""
         nodes = self.order[1:]
         return nodes, tuple(map(self.parent.__getitem__, nodes))
 
@@ -288,21 +294,71 @@ class TreeInfo:
         return nodes, tuple(map(self.parent.__getitem__, nodes))
 
     @cached_property
-    def schedule(self) -> tuple:
-        """The walk in incidence rows (node k is row k - 1): per depth level
-        from 1, its rows (a slice, so a view, when the nodes are listed in
-        walk order, as parsed feeders are) and its parents' rows (None for
-        the slack's children). Only ``eliminate`` and ``substitute`` read
-        it, on three-phase feeders."""
-        rows = np.asarray(self.order[1:], dtype=np.intp) - 1
-        parents = np.asarray(self.parent, dtype=np.intp)[rows + 1] - 1
-        in_walk_order = self.order == tuple(range(len(self.order)))
-        cuts = [cut - 1 for cut in self.levels[1:]]
-        return tuple(
-            (level if in_walk_order else rows[level],
-             parents[level] if level.start else None)
-            for level in map(slice, cuts[:-1], cuts[1:])
+    def chains(self) -> tuple:
+        """The plan of the three-phase ``eliminate``, built once per tree on
+        its first use: the tree cut into heavy chains, each node's largest
+        child subtree (the first in walk order on a tie) continuing its
+        chain and each child of the slack heading one. A node's chain level
+        counts the chain heads on its path from the slack.
+
+        Returns (rows, levels). ``rows`` lists the incidence rows (node k
+        is row k - 1) in plan order: deepest chain level first, each by
+        falling count of chain nodes from the node to its chain's tail,
+        ties in walk order. Per chain level, ``levels`` holds its slice of
+        plan positions; its scan rounds, for d = 1, 2, 4, ... below its
+        longest chain, the slice of its nodes with more than d chain nodes
+        below them and the plan positions d chain nodes down from them; and
+        its chain heads' plan positions and their parents' (None for the
+        slack's children)."""
+        nodes, parents = self.downward
+        n = len(self.order)
+        # Slot n stands for "no child", of size and tail 0.
+        size, heavy, tail = [1] * n + [0], [n] * (n + 1), [0] * (n + 1)
+        for node, up in zip(reversed(nodes), reversed(parents)):
+            tail[node] = tail[heavy[node]] + 1  # chain nodes down to its tail
+            if size[node] >= size[heavy[up]]:
+                heavy[up] = node
+            size[up] += size[node]
+        heavy[0] = n  # every child of the slack heads a chain
+        level, key = [0] * n, [0] * n
+        for node, up in zip(nodes, parents):
+            level[node] = depth = level[up] + (heavy[up] != node)
+            key[node] = -depth * n - tail[node]
+        plan = sorted(nodes, key=key.__getitem__)
+        position = [0] * (n + 1)
+        for k, node in enumerate(plan):
+            position[node] = k
+        parent = self.parent
+        heads = [
+            k for k, node in enumerate(plan) if heavy[parent[node]] != node
+        ]
+        rakes = np.array(
+            [heads, [position[parent[plan[k]]] for k in heads]], dtype=np.intp
         )
+        jumps = [
+            np.array([position[heavy[node]] for node in plan], dtype=np.intp)
+        ]
+        while 1 << len(jumps) < max(tail):
+            jumps.append(jumps[-1][jumps[-1]])
+        levels, stop = [], 0
+        for depth in range(level[plan[0]] if plan else 0, 0, -1):
+            start = stop
+            stop = bisect_left(plan, -depth * n, start, key=key.__getitem__)
+            rounds = []
+            for jump in jumps:
+                active = bisect_left(
+                    plan, -depth * n - (1 << len(rounds)), start, stop,
+                    key=key.__getitem__,
+                )
+                if active == start:
+                    break
+                rounds.append((slice(start, active), jump[start:active]))
+            rake = slice(bisect_left(heads, start), bisect_left(heads, stop))
+            levels.append((
+                slice(start, stop), tuple(rounds),
+                rakes[:, rake] if depth > 1 else None,
+            ))
+        return np.array(plan, dtype=np.intp) - 1, tuple(levels)
 
 
 def validate_radial(feeder: Feeder) -> ValidationReport:
@@ -525,11 +581,17 @@ def eliminate(feeder: Feeder, stack: np.ndarray) -> np.ndarray:
     node k's own loads [A_k | B_k], gains its children's eliminated rows and
     becomes [A | B] = (I + A_k z_k)^-1 [A_k | B_k], z_k the impedance
     feeding node k: the subtree's current A x_parent + B. Returns ``stack``.
+
     A scalar loop over ``tree.downward`` in reverse when p = 1, as a level
-    holds too few numbers to repay a numpy call; otherwise one batched
-    solve and one ``np.add.at`` per level of ``tree.schedule``. A zero or
-    singular pivot raises SingularError naming its node, the level's last
-    in walk order if several are: the one the scalar loop meets first."""
+    holds too few numbers to repay a numpy call. Otherwise per chain level
+    of ``tree.chains``, deepest first: each node's 7x7 transfer along its
+    chain, their suffix products down to the chain's tail in O(log length)
+    batched rounds (Hillis-Steele), one batched solve for every node's
+    [A | B] and one ``np.add.at`` raking the chain heads into their parents.
+    A zero or singular pivot raises SingularError naming its node (at
+    p = 3, the x block of the transfer product from the node to its
+    chain's tail), the chain level's last in walk order if several are, as
+    the scalar loop meets it first."""
     tree, z = feeder.tree, feeder.checked_impedances
     m, p, _ = stack.shape
     if p == 1:
@@ -549,26 +611,50 @@ def eliminate(feeder: Feeder, stack: np.ndarray) -> np.ndarray:
             b[up] += b[node]
         stack[:, 0, 0], stack[:, 0, 1] = a[1:], b[1:]
         return stack
-    eye = np.eye(p)
-    for rows, parents in reversed(tree.schedule):
-        block = stack[rows]
-        pivots = eye + block[:, :, :p] @ z[rows]
+    rows, levels = tree.chains
+    work = stack[rows]
+    # Node k's transfer (x_k, 1, I_heavy) -> (x_parent, 1, I_k) along its
+    # chain, with [C | w] its own loads plus its light children's [A | B]:
+    # [[I + z C, z w, z], [0, 1, 0], [C, w, I]].
+    t = np.zeros((m, 7, 7), dtype=np.complex128)
+    t[:, :3, 4:] = z[rows]
+    t.reshape(m, 49)[:, 24::8] = 1.0  # the diagonal from (3, 3) on
+    for level, rounds, rake in levels:
+        block, transfer = work[level], t[level]
+        np.matmul(transfer[:, :3, 4:], block, out=transfer[:, :3, :4])
+        transfer.reshape(-1, 49)[:, :17:8] += 1.0  # I + z C
+        transfer[:, 4:, :4] = block
+        # Suffix products to each chain's tail: T_k <- T_k T_(k + d) for
+        # d = 1, 2, 4, ..., k + d the node d chain nodes below k.
+        for active, below in rounds:
+            np.matmul(t[active], t[below], out=t[active])
+        # Applied to (x_tail, 1, 0): x_parent = G (x_tail, 1) and
+        # I_k = H (x_tail, 1), so [A | B] = H G^-1.
+        pivots = transfer[:, :4, :4]
         try:
-            block = np.linalg.solve(pivots, block)
+            block = np.linalg.solve(
+                pivots.swapaxes(1, 2), transfer[:, 4:, :4].swapaxes(1, 2)
+            ).swapaxes(1, 2)
         except np.linalg.LinAlgError:
-            level = np.arange(m)[rows].tolist()
-            for row, pivot in zip(reversed(level), pivots[::-1]):
+            walk = {node: k for k, node in enumerate(tree.order)}
+            level_rows = rows[level].tolist()
+            for k in sorted(
+                range(len(level_rows)),
+                key=lambda k: -walk[level_rows[k] + 1],
+            ):
                 try:
-                    np.linalg.solve(pivot, pivot)
+                    np.linalg.solve(pivots[k], pivots[k])
                 except np.linalg.LinAlgError:
                     raise SingularError(
-                        f"elimination pivot of node {feeder.nodes[row + 1]} "
-                        "is singular"
+                        "elimination pivot of node "
+                        f"{feeder.nodes[level_rows[k] + 1]} is singular"
                     ) from None
             raise SingularError("elimination pivot is singular") from None
-        stack[rows] = block
-        if parents is not None:
-            np.add.at(stack, parents, block)
+        work[level] = block
+        if rake is not None:
+            heads, parents = rake
+            np.add.at(work, parents, work[heads])
+    stack[rows] = work
     return stack
 
 
@@ -576,9 +662,8 @@ def substitute(feeder: Feeder, drops: np.ndarray) -> np.ndarray:
     """Down the tree from the slack phasors: the (m, p) voltages, row
     k - 1 node k's x_k = x_parent - ``drops``[k - 1] [x_parent; 1], with
     ``drops`` the impedances times the stack ``eliminate`` leaves. Parents
-    first: a scalar loop over ``tree.downward`` when p = 1, with node k in
-    slot k and the slack in slot 0; otherwise one numpy step per level of
-    ``tree.schedule``."""
+    first, one Python walk over ``tree.downward`` with node k in slot k and
+    the slack in slot 0, each 3x3 product unrolled when p = 3."""
     tree, p = feeder.tree, feeder.phase_count
     slack = feeder.slack_phasors()
     if p == 1:
@@ -588,15 +673,20 @@ def substitute(feeder: Feeder, drops: np.ndarray) -> np.ndarray:
             upper = x[up]
             x[node] = upper - (gain[node] * upper + offset[node])
         return np.array(x[1:], dtype=np.complex128).reshape(-1, 1)
-    x = np.empty((len(tree.branches), p), dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        for rows, parents in tree.schedule:
-            upper = slack if parents is None else x[parents]
-            gain, offset = drops[rows, :, :p], drops[rows, :, p]
-            x[rows] = upper - (
-                (gain @ upper[..., np.newaxis])[..., 0] + offset
-            )
-    return x
+    rows = [None, *drops.reshape(-1, 12).tolist()]
+    x = [None] * len(rows)
+    x[0] = tuple(slack.tolist())
+    for node, up in zip(*tree.downward):
+        a, b, c = x[up]
+        g0, g1, g2, t0, g3, g4, g5, t1, g6, g7, g8, t2 = rows[node]
+        x[node] = (
+            a - (g0 * a + g1 * b + g2 * c + t0),
+            b - (g3 * a + g4 * b + g5 * c + t1),
+            c - (g6 * a + g7 * b + g8 * c + t2),
+        )
+    return np.fromiter(
+        chain.from_iterable(x[1:]), dtype=np.complex128, count=3 * len(x) - 3
+    ).reshape(-1, 3)
 
 
 def reduced_impedance(

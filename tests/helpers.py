@@ -161,10 +161,23 @@ def shuffled(
     return replace(feeder, nodes=(feeder.slack, *rest), branches=branches)
 
 
+def level_schedule(tree) -> list:
+    """The walk in incidence rows (node k is row k - 1), one entry per depth
+    level from 1: its rows and its parents' rows (None for the slack's
+    children), in walk order."""
+    rows = np.asarray(tree.order[1:], dtype=np.intp) - 1
+    parents = np.asarray(tree.parent, dtype=np.intp)[rows + 1] - 1
+    cuts = [cut - 1 for cut in tree.levels[1:]]
+    return [
+        (rows[level], parents[level] if level.start else None)
+        for level in map(slice, cuts[:-1], cuts[1:])
+    ]
+
+
 def level_path_sums(tree, root, steps: np.ndarray) -> np.ndarray:
     """Oracle for ``network.path_sums`` at any payload rank: one numpy step
     per depth level, in place."""
-    for rows, parents in tree.schedule:
+    for rows, parents in level_schedule(tree):
         steps[rows] += root if parents is None else steps[parents]
     return steps
 
@@ -173,9 +186,42 @@ def level_subtree_sums(tree, values: np.ndarray) -> np.ndarray:
     """Oracle for ``network.subtree_sums`` at any payload rank: deepest
     level first, one ``np.add.at`` per level into the parents, which adds
     siblings one after another in walk order; in place."""
-    for rows, parents in reversed(tree.schedule[1:]):
+    for rows, parents in reversed(level_schedule(tree)[1:]):
         np.add.at(values, parents, values[rows])
     return values
+
+
+def level_eliminate(feeder: Feeder, stack: np.ndarray) -> np.ndarray:
+    """Oracle for the three-phase ``network.eliminate``: deepest level
+    first, one batched solve of (I + A_k z_k) [A | B] = [A_k | B_k] per
+    depth level and one ``np.add.at`` of its rows into their parents; in
+    place."""
+    z = feeder.checked_impedances
+    eye = np.eye(stack.shape[1])
+    for rows, parents in reversed(level_schedule(feeder.tree)):
+        block = stack[rows]
+        block = np.linalg.solve(eye + block[:, :, :-1] @ z[rows], block)
+        stack[rows] = block
+        if parents is not None:
+            np.add.at(stack, parents, block)
+    return stack
+
+
+def level_substitute(feeder: Feeder, drops: np.ndarray) -> np.ndarray:
+    """Oracle for the three-phase ``network.substitute``: one numpy step per
+    depth level, x_k = x_parent - (G_k x_parent + t_k) with
+    [G_k | t_k] = ``drops``[k - 1]."""
+    p = feeder.phase_count
+    x = np.empty((len(feeder.tree.branches), p), dtype=np.complex128)
+    slack = feeder.slack_phasors()
+    with np.errstate(all="ignore"):
+        for rows, parents in level_schedule(feeder.tree):
+            upper = slack if parents is None else x[parents]
+            gain, offset = drops[rows, :, :p], drops[rows, :, p]
+            x[rows] = upper - (
+                (gain @ upper[..., np.newaxis])[..., 0] + offset
+            )
+    return x
 
 
 _ROTATIONS = np.array(PHASE_ROTATIONS)
@@ -382,3 +428,4 @@ def singular_pivot_feeder(phase_count: int) -> Feeder:
             tuple(z if i == j else 0j for j in range(3)) for i in range(3)
         )
     return chain_feeder(3, z, loads=(ZipLoad(node="3", s_z=-10.0 + 0j),))
+

@@ -61,6 +61,33 @@ def _reversed(feeder):
     ))
 
 
+def _three_phase_feeder(edges, z_self):
+    """Three-phase feeder on nodes 1..n with the (parent, child) ``edges``
+    on positions 0..n-1, coupled branches of self impedance ``z_self`` and
+    a ZIP load at every non-slack node, every third one wye and the rest
+    delta."""
+    n = len(edges) + 1
+    z = tuple(
+        tuple(z_self if i == j else 0.4 * z_self for j in range(3))
+        for i in range(3)
+    )
+    return Feeder(
+        name="three-phase", phase_count=3,
+        nodes=tuple(str(k) for k in range(1, n + 1)),
+        slack_voltage=1.0 + 0j,
+        branches=tuple(
+            Branch(f"b{k}", str(a + 1), str(b + 1), z)
+            for k, (a, b) in enumerate(edges)
+        ),
+        loads=tuple(
+            ZipLoad(node=str(k), s_z=2e-4j, s_i=3e-4 + 1e-4j,
+                    s_p=4e-4 + 2e-4j,
+                    connection="delta" if k % 3 else "wye")
+            for k in range(2, n + 1)
+        ),
+    )
+
+
 def _dense_solve(feeder):
     """Voltages at every node from the dense oracle system."""
     sys_a, sys_b = dense_linear_system(feeder)
@@ -329,7 +356,8 @@ class TestSolveLinear:
             assert np.array_equal(v, sol.voltages)
 
     @pytest.mark.parametrize(
-        "shape", ["chain", "star", "single-1", "single-3"]
+        "shape",
+        ["chain", "chain-3", "comb-3", "star", "single-1", "single-3"],
     )
     def test_extreme_tree_shapes_match_the_dense_system(self, shape):
         if shape == "chain":  # depth = n = 2000
@@ -339,6 +367,18 @@ class TestSolveLinear:
                 ZipLoad(node=str(k), **parts) for k in range(2, n + 1)
             )
             feeder = chain_feeder(n, 1e-5 + 2e-5j, loads=loads)
+        elif shape == "chain-3":  # one chain of depth 600, V_min 0.946
+            feeder = _three_phase_feeder(
+                [(k - 1, k) for k in range(1, 601)], 3e-4 + 6e-4j
+            )
+        elif shape == "comb-3":  # a 3-node tooth on each of 100, V_min 0.959
+            spine = [(k - 1, k) for k in range(1, 101)]
+            teeth = [
+                (k if j == 0 else 101 + 3 * (k - 1) + j - 1,
+                 101 + 3 * (k - 1) + j)
+                for k in range(1, 101) for j in range(3)
+            ]
+            feeder = _three_phase_feeder(spine + teeth, 2e-3 + 4e-3j)
         elif shape == "star":  # depth 1, 199 leaves in one level
             zs, zm = 0.004 + 0.009j, 0.0015 + 0.004j
             z = tuple(
@@ -363,6 +403,25 @@ class TestSolveLinear:
             )
         sol = solve(feeder)
         assert np.max(np.abs(sol.voltages - _dense_solve(feeder))) <= 1e-12
+
+    def test_three_phase_elimination_solves_do_not_grow_with_depth(
+        self, monkeypatch
+    ):
+        # One batched solve per chain level: a chain of any depth is one
+        # level, where one solve per depth level made 64 and 512 calls.
+        solve_dense = np.linalg.solve
+        calls = Counter()
+
+        def counted(*args):
+            calls[depth] += 1
+            return solve_dense(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        for depth in (64, 512):
+            assemble(_three_phase_feeder(
+                [(k - 1, k) for k in range(1, depth + 1)], 1e-4 + 2e-4j
+            ))
+        assert 1 <= calls[64] <= calls[512] <= calls[64] + 2
 
     def test_solve_builds_no_dense_matrix(self, monkeypatch):
         names = (

@@ -5,9 +5,11 @@ import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radialflow.bfs
 from radialflow import (
@@ -26,15 +28,19 @@ from radialflow import (
 )
 from radialflow.network import (
     branch_impedance_matrix,
+    eliminate,
     in_walk_order,
     path_sums,
+    substitute,
     subtree_sums,
 )
 from helpers import (
     brute_force_reduced_impedance,
     chain_feeder,
     dense_ybus,
+    level_eliminate,
     level_path_sums,
+    level_substitute,
     level_subtree_sums,
     perfbench_gen,
     random_radial_feeder,
@@ -425,12 +431,15 @@ class TestWalkKernels:
             sol = radialflow.solve(feeder, method)
             radialflow.summarize(sol, None, feeder)
             radialflow.residual(feeder, sol)
-        assert "schedule" not in vars(feeder.tree)
+        assert "chains" not in vars(feeder.tree)
 
     def test_only_network_reads_the_walk_order(self):
         # The walk order is a decision of ``network``: no other module of
-        # the package reads a tree's walk, parents or depth levels.
-        walk = {"schedule", "downward", "upward", "order", "parent", "levels"}
+        # the package reads a tree's walk, parents, depth levels or chains.
+        walk = {
+            "schedule", "chains", "downward", "upward", "order", "parent",
+            "levels",
+        }
         package = Path(radialflow.__file__).parent
         readers = [
             f"{path.name}:{node.lineno} .{node.attr}"
@@ -440,6 +449,50 @@ class TestWalkKernels:
             if isinstance(node, ast.Attribute) and node.attr in walk
         ]
         assert readers == []
+
+
+class TestEliminationKernels:
+    """The three-phase ``eliminate`` (suffix scans along heavy chains) and
+    ``substitute`` (one Python walk) against the per-depth-level oracles
+    they replace."""
+
+    @settings(max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 80),
+        # Up to where BFS stops converging on about a quarter of them.
+        z_scale=st.floats(1.0, 300.0),
+        shuffle=st.booleans(),
+    )
+    def test_kernels_match_the_per_level_oracles(
+        self, seed, n, z_scale, shuffle
+    ):
+        rng = np.random.default_rng(seed)
+        feeder = random_radial_feeder(
+            rng, n, 3, profile="zip", delta_fraction=0.4, z_scale=z_scale
+        )
+        if shuffle:
+            feeder = shuffled(rng, feeder)
+        seeds = []
+
+        def recording(model_feeder, stack):
+            seeds.append(stack.copy())
+            return eliminate(model_feeder, stack)
+
+        with mock.patch.object(radialflow.linsolve, "eliminate", recording):
+            model = radialflow.assemble(feeder)
+        stack = eliminate(feeder, seeds[0].copy())
+        expected = level_eliminate(feeder, seeds[0].copy())
+        assert np.max(np.abs(stack - expected)) <= 1e-13 * np.max(
+            np.abs(expected)
+        )
+        x = substitute(feeder, model.drops)
+        expected = level_substitute(feeder, model.drops)
+        # The oracle's batched matvec may fuse multiply-adds, which Python
+        # arithmetic does not: a few units in the last place apart.
+        assert np.max(np.abs(x - expected)) <= 1e-15 * np.max(
+            np.abs(expected)
+        )
 
 
 class TestYbus:
