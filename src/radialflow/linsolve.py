@@ -19,11 +19,12 @@ Two solver modes are exposed:
   conjugate coefficient vanishes and the system is complex-linear, its
   unknowns coupled only through the slots holding a constant-impedance
   load: one complex solve over those slots. At any other point it is
-  conjugate-linear and is solved by stacking real and imaginary parts. At
-  a slack voltage of 1 p.u. it coincides with the simple mode. Away from
-  1 p.u. the default point is the more accurate of the two modes at light
-  load, but the less accurate at heavier load, where the simple mode's
-  frozen nominal sits inside the voltage drop.
+  conjugate-linear, its unknowns coupled through the same slots: one
+  solve over them, of its real embedding. At a slack voltage of 1 p.u. it
+  coincides with the simple mode. Away from 1 p.u. the default point is
+  the more accurate of the two modes at light load, but the less accurate
+  at heavier load, where the simple mode's frozen nominal sits inside the
+  voltage drop.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SingularError
-from .loads import PHASE_ROTATIONS, load_vectors, rotate_into_phases
+from .loads import load_vectors, rotate_into_phases
 from .network import (
     Feeder,
     eliminate,
@@ -104,89 +105,90 @@ class LinearModel:
     feeder: Feeder
 
 
-def _per_unknown(values, feeder: Feeder) -> np.ndarray:
-    """Tile per-phase values across the non-slack node-major unknowns."""
-    n_unknown_nodes = len(feeder.nodes) - 1
-    return np.tile(np.asarray(values, dtype=np.complex128), n_unknown_nodes)
+def _solve_restricted(feeder: Feeder, v0: complex) -> np.ndarray:
+    """linear-full's non-slack unknowns, linearized around ``v0`` rotated
+    into each phase, the point.
 
-
-def _system_parts(feeder: Feeder):
-    """The dense pieces of the linear-full system for the non-slack
-    unknowns: I + h^2 D diag(conj s_z), D conj(s_p) rho, D conj(s_i) rho."""
-    h = feeder.h
+    Each row of M1 x + diag(m2) conj(x) = b divided by c_v = conj(point)
+    reads y + D u = r: y = x + q conj(x) with q = (point - v_s rho) /
+    conj(point) per phase, zero at the default point; r = point - D w with
+    w = (h conj(s_i) + conj(s_p) / conj(v0)) rho a fixed injection; and
+    u = C x, C = h^2 conj(s_z), nonzero only at the slots K holding a
+    constant-impedance load. So the unknowns couple only through
+    (I + D_KK C_K) x_K + diag(q_K) conj(x_K) = r_K. That block is gathered
+    into the front of D's own array and factored, complex where q is zero
+    and through its real embedding otherwise; D is then freed, y = r - D u
+    is taken on the tree (D u = U^-1 Z U^-T u) and every other voltage is
+    x = (y - q conj(y)) / (1 - |q|^2).
+    """
+    h, p = feeder.h, feeder.phase_count
     # First, so that the load table cached on first use is not allocated
     # between (np)^2 arrays, where it would keep the heap they free above
     # it from returning to the system.
     s_z, s_i, s_p = load_vectors(feeder)
-    red = reduced_impedance(None, feeder)
-    cut = feeder.phase_count  # drop the slack slots
-    s_z, s_i, s_p = s_z[cut:], s_i[cut:], s_p[cut:]
-    rho = _per_unknown(PHASE_ROTATIONS[: feeder.phase_count], feeder)
-    d = red.d
-    size = d.shape[0]
-    p_base = d @ (np.conjugate(s_p) * rho)
-    i_base = d @ (np.conjugate(s_i) * rho)
-    # An overflowing h * h must give non-finite voltages, not numpy warnings.
-    # I + h^2 D diag(conj s_z), built in D's own (np)^2 array.
-    with np.errstate(all="ignore"):
-        sys_a = np.multiply(d, np.conjugate(s_z)[np.newaxis, :], out=d)
-        sys_a *= h * h
-        sys_a.flat[:: size + 1] += 1.0
-    return sys_a, p_base, i_base, rho
-
-
-def _solve_at_slack(feeder: Feeder) -> np.ndarray:
-    """linear-full's non-slack unknowns at its default point, the slack
-    phasors v_s rho.
-
-    The conjugate term vanishes there, and each row divided by c_v reads
-    x = v_s rho - D (w + u): w = (h conj(s_i) + conj(s_p) / conj(v_s)) rho
-    is a fixed injection and u = C x, C = h^2 conj(s_z), is nonzero only at
-    the slots K holding a constant-impedance load. So with r = v_s rho - D w
-    the unknowns couple only through (I + D_KK C_K) x_K = r_K. That block is
-    gathered into the front of D's own array and factored; D is then freed,
-    and every other voltage is x = r - D u, D u = U^-1 Z U^-T u taken on the
-    tree.
-    """
-    h, p = feeder.h, feeder.phase_count
-    # First, for the reason given in ``_system_parts``.
-    s_z, s_i, s_p = load_vectors(feeder)
     d = reduced_impedance(None, feeder).d
     s_z, s_i, s_p = s_z[p:], s_i[p:], s_p[p:]  # drop the slack slots
-    v_s = feeder.slack_voltage
-    # An overflowing h * h must give non-finite voltages, not numpy warnings:
+    # A point or slack that overflows once rotated into a phase, or an
+    # overflowing h * h, must give non-finite voltages, not numpy warnings:
     # K is read from c, so that every slot it makes NaN is in the solve.
     with np.errstate(all="ignore"):
+        point = rotate_into_phases(v0, p)
+        shift = point - feeder.slack_phasors()
+        q = shift / np.conjugate(point)
         c = np.conjugate(s_z) * (h * h)
-        w = h * np.conjugate(s_i) + np.conjugate(s_p) / np.conjugate(v_s)
+        w = h * np.conjugate(s_i) + np.conjugate(s_p) / np.conjugate(v0)
         w = w.reshape(-1, p) * rotate_into_phases(1.0, p)  # times rho
-        x = feeder.slack_phasors() - (d @ w.reshape(-1)).reshape(-1, p)
-        x = x.reshape(-1)
+        x = (point - (d @ w.reshape(-1)).reshape(-1, p)).reshape(-1)
         k = c.nonzero()[0]
-        if not k.size:
-            return x
-        c_k = c[k]
-        size = k.size
-        # Row i of the block overwrites no row k[j], j > i, of D, as
-        # k[j] >= j; each slice of rows is read whole before it is written.
-        # A slice holds 32 rows, or an eighth of the block's rows if more.
-        block = d.reshape(-1)[: size * size].reshape(size, size)
-        step = max(32, -(-size // 8))
-        for start in range(0, size, step):
-            rows = k[start:start + step, np.newaxis]
-            np.multiply(d[rows, k], c_k, out=block[start:start + step])
-        block.flat[:: size + 1] += 1.0
-        try:
-            x_k = np.linalg.solve(block, x[k])
-        except np.linalg.LinAlgError as exc:
-            raise SingularError(str(exc)) from exc
-        del d, block
-        tree, z = feeder.tree, feeder.checked_impedances
-        u = np.zeros((len(tree.branches), p), dtype=np.complex128)
-        u.reshape(-1)[k] = c_k * x_k
-        currents = subtree_sums(tree, u)
-        drops = (z @ currents[..., np.newaxis])[..., 0]
-        x -= path_sums(tree, 0.0, drops).reshape(-1)
+        x_k = x[k]
+        if k.size:
+            c_k = c[k]
+            size = k.size
+            # Row i of the block overwrites no row k[j], j > i, of D, as
+            # k[j] >= j; each slice of rows is read whole before it is
+            # written. A slice holds 32 rows, or an eighth of the block's
+            # rows if more.
+            block = d.reshape(-1)[: size * size].reshape(size, size)
+            step = max(32, -(-size // 8))
+            for start in range(0, size, step):
+                rows = k[start:start + step, np.newaxis]
+                np.multiply(d[rows, k], c_k, out=block[start:start + step])
+            block.flat[:: size + 1] += 1.0
+            del d  # ``block`` keeps D's array until it is replaced or solved
+            if q.any():
+                # The real embedding, each unknown's real and imaginary
+                # parts side by side, so that r_K and x_K pass as views:
+                # parts[i, :, j, :] is the 2x2 real block of entry (i, j).
+                real = np.empty((2 * size, 2 * size))
+                parts = real.reshape(size, 2, size, 2)
+                parts[:, 0, :, 0] = block.real
+                np.negative(block.imag, out=parts[:, 0, :, 1])
+                parts[:, 1, :, 0] = block.imag
+                parts[:, 1, :, 1] = block.real
+                block = real
+                idx, q_k = np.arange(size), q[k % p]
+                parts[idx, 0, idx, 0] += q_k.real
+                parts[idx, 0, idx, 1] += q_k.imag
+                parts[idx, 1, idx, 0] += q_k.imag
+                parts[idx, 1, idx, 1] -= q_k.real
+            try:
+                x_k = np.linalg.solve(block, x_k.view(block.dtype))
+            except np.linalg.LinAlgError as exc:
+                raise SingularError(str(exc)) from exc
+            x_k = x_k.view(np.complex128)
+            del block
+            tree, z = feeder.tree, feeder.checked_impedances
+            u = np.zeros((len(tree.branches), p), dtype=np.complex128)
+            u.reshape(-1)[k] = c_k * x_k
+            currents = subtree_sums(tree, u)
+            drops = (z @ currents[..., np.newaxis])[..., 0]
+            x -= path_sums(tree, 0.0, drops).reshape(-1)
+        if q.any():
+            # Numerator and denominator times |point|^2, so that |q|^2 does
+            # not overflow at a point near zero.
+            y, scale = x.reshape(-1, p), np.square(np.abs(point))
+            x = scale * y - point * shift * np.conjugate(y)
+            x = (x / (scale - np.square(np.abs(shift)))).reshape(-1)
         x[k] = x_k
     return x
 
@@ -226,13 +228,12 @@ def assemble(feeder: Feeder) -> LinearModel:
         c = np.conjugate(s_z) * (h * h)
         # The leading h freezes the constant-power injections at the
         # nominal magnitude 1/h; it is unity in per-unit analysis.
-        rho = _per_unknown(PHASE_ROTATIONS[:p], feeder)
-        w = h * (np.conjugate(s_p) + np.conjugate(s_i)) * rho
+        w = h * (np.conjugate(s_p) + np.conjugate(s_i))
         stack = np.zeros((m, p, p + 1), dtype=np.complex128)
         # A's diagonal is every (p + 2)-th entry of a row's [A | B]: a view,
         # cheaper than fancy indexing on small feeders.
         stack.reshape(m, p * (p + 1))[:, :: p + 2] = c.reshape(m, p)
-        stack[:, :, p] = w.reshape(m, p)
+        stack[:, :, p] = w.reshape(m, p) * rotate_into_phases(1.0, p)
         eliminate(feeder, stack)
         drops = stack * z if p == 1 else z @ stack
     return LinearModel(drops=drops, feeder=feeder)
@@ -267,64 +268,12 @@ def solve_linear_full(feeder: Feeder, v0: complex | None = None) -> Solution:
     around the linearization point: ``v0`` (checked by ``check_v0``), by
     default the slack voltage, rotated into each phase as the slack is. The
     conjugate coefficient m2 vanishes only when that point equals the
-    slack's phasors, as the default does. Then M1 x = b is solved by
-    ``_solve_at_slack``, one complex factorization of the slots holding a
-    constant-impedance load; otherwise the real and imaginary parts are
-    stacked into one real system of size 2np. Either way the method stays
-    non-iterative.
+    slack's phasors, as the default does. At every point
+    ``_solve_restricted`` factors only the slots holding a
+    constant-impedance load, so the method stays non-iterative.
     """
-    with np.errstate(over="ignore"):
-        # A finite point may overflow once rotated into a phase.
-        point = slack = feeder.slack_phasors()
-        if v0 is not None:
-            point = rotate_into_phases(check_v0(v0), feeder.phase_count)
-        c_v, c_vbar, c_0 = linearize_vsq(point)
-        if not np.all(np.isfinite(c_0)):
-            # The dense system holds c_0 = -|v0|^2 itself, so it has no
-            # room for a point beyond the square root of the largest float;
-            # |v0| itself may overflow too.
-            raise SingularError(
-                "|v0|^2 of the linearization point overflows: |v0| = "
-                f"{np.abs(point).max():.3e}"
-            )
-    m2 = c_vbar - slack
-    if not m2.any():
-        # v0 is the slack voltage (the default): the conjugate term
-        # vanishes and the system is complex-linear.
-        return _solution(feeder, _solve_at_slack(feeder), "linear-full")
-    sys_a, p_base, i_base, rho = _system_parts(feeder)
-    m2_diag = _per_unknown(m2, feeder)
-    c_v, c_0 = _per_unknown(c_v, feeder), _per_unknown(c_0, feeder)
-
-    # Rows live in voltage-squared units: the conjugate-voltage expansion of
-    # each constant-power row is kept whole, while the exact impedance and
-    # current terms are scaled by c_v so they stay exact on pure feeders.
-    with np.errstate(all="ignore"):  # a non-finite sys_a, as above
-        # In place, as sys_a is not read again.
-        m1 = np.multiply(c_v[:, np.newaxis], sys_a, out=sys_a)
-    b = -np.conjugate(rho) * p_base - c_v * feeder.h * i_base - c_0
-
-    size = m1.shape[0]
-    stacked = np.zeros((2 * size, 2 * size))
-    stacked[:size, :size] = m1.real
-    np.negative(m1.imag, out=stacked[:size, size:])
-    stacked[size:, :size] = m1.imag
-    stacked[size:, size:] = m1.real
-    # Free the complex matrix before LAPACK copies the real system: this
-    # solve is the peak of the package's memory use.
-    del sys_a, m1
-    idx = np.arange(size)
-    stacked[idx, idx] += m2_diag.real
-    stacked[idx, size + idx] += m2_diag.imag
-    stacked[size + idx, idx] += m2_diag.imag
-    stacked[size + idx, size + idx] -= m2_diag.real
-    rhs = np.concatenate([b.real, b.imag])
-    try:
-        xy = np.linalg.solve(stacked, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularError(str(exc)) from exc
-    x = xy[:size] + 1j * xy[size:]
-    return _solution(feeder, x, "linear-full")
+    v0 = feeder.slack_voltage if v0 is None else check_v0(v0)
+    return _solution(feeder, _solve_restricted(feeder, v0), "linear-full")
 
 
 def solve(

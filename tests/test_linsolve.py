@@ -1,9 +1,11 @@
+import ast
 import cmath
 import math
 import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -30,6 +32,7 @@ from radialflow import (
     summarize,
     v_min,
 )
+from radialflow import linsolve
 from radialflow.linsolve import check_v0
 from radialflow.loads import PHASE_ROTATIONS, load_vectors
 from helpers import (
@@ -86,6 +89,12 @@ def _three_phase_feeder(edges, z_self):
             for k in range(2, n + 1)
         ),
     )
+
+
+_Z3 = tuple(
+    tuple(0.01 + 0.02j if i == j else 0.004j for j in range(3))
+    for i in range(3)
+)
 
 
 def _dense_solve(feeder):
@@ -488,7 +497,7 @@ class TestSolveLinearFull:
         # Away from the slack voltage, the real embedding of
         # M1 x + diag(m2) conj(x) = b solved by LU in 50-digit arithmetic.
         for feeder in _linear_full_feeders(np.random.default_rng(23)):
-            for v0 in (1.05, 0.97 + 0.02j):
+            for v0 in (1.05, 0.97 + 0.02j, 0.9 - 0.05j):
                 m1, m2, b = linear_full_system(feeder, v0)
                 if not np.any(m2):
                     continue  # v0 is this feeder's slack voltage
@@ -510,9 +519,9 @@ class TestSolveLinearFull:
             error = x - stacked_solve(*linear_full_system(feeder))
             assert np.max(np.abs(error)) <= 1e-13
 
-    def test_other_points_solve_the_stacked_real_system(self):
+    def test_other_points_match_the_stacked_real_solve(self):
         # Away from the slack voltage the system is only real-linear: the
-        # stacked real solve, bit for bit.
+        # stacked real solve of size 2np.
         general = 0
         feeders = _linear_full_feeders(np.random.default_rng(23))
         for feeder in feeders:
@@ -522,9 +531,9 @@ class TestSolveLinearFull:
                     continue  # v0 is this feeder's slack voltage
                 general += 1
                 x = solve(feeder, "linear-full", v0=v0).voltages
-                assert np.array_equal(
-                    x[feeder.phase_count:], stacked_solve(m1, m2, b)
-                )
+                exact = stacked_solve(m1, m2, b)
+                error = x[feeder.phase_count:] - exact
+                assert np.max(np.abs(error)) <= 1e-13 * np.max(np.abs(exact))
         # Every random feeder's slack voltage differs from all three.
         assert general >= 3 * (len(feeders) - 3)
 
@@ -584,24 +593,29 @@ class TestSolveLinearFull:
             solve_linear_full(feeder)
 
     @staticmethod
-    def _restricted_solve(feeder, monkeypatch):
-        """linear-full at its default point, the shapes of the matrices it
-        factored and the number of slots holding a constant-impedance load;
-        asserts the voltages match the dense oracle M1 x = b to 2e-15
-        relative."""
+    def _restricted_solve(feeder, monkeypatch, v0=None):
+        """linear-full at ``v0``, by default the slack voltage, the shapes
+        of the matrices it factored and the number of slots holding a
+        constant-impedance load; asserts each factor is complex at the
+        default point and real elsewhere, and the voltages match the dense
+        oracle, M1 x = b or its stacked real solve, to 2e-15 relative."""
         shapes = []
         solve_dense = np.linalg.solve
 
         def recorded(a, b):
             shapes.append(a.shape)
+            assert a.dtype == (np.complex128 if v0 is None else np.float64)
             return solve_dense(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", recorded)
-        x = solve(feeder, "linear-full").voltages[feeder.phase_count:]
+        x = solve(feeder, "linear-full", v0=v0).voltages[feeder.phase_count:]
         monkeypatch.undo()
-        m1, m2, b = linear_full_system(feeder)
-        assert not np.any(m2)
-        exact = np.linalg.solve(m1, b)
+        m1, m2, b = linear_full_system(feeder, v0)
+        assert np.any(m2) == (v0 is not None)
+        if v0 is None:
+            exact = np.linalg.solve(m1, b)
+        else:
+            exact = stacked_solve(m1, m2, b)
         assert np.max(np.abs(x - exact)) <= 2e-15 * np.max(np.abs(exact))
         impedance_slots = np.count_nonzero(
             load_vectors(feeder)[0][feeder.phase_count:]
@@ -671,6 +685,55 @@ class TestSolveLinearFull:
             ))
             shapes, slots = self._restricted_solve(feeder, monkeypatch)
             assert shapes == ([(slots, slots)] if slots else [])
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_other_points_factor_only_the_impedance_slots(
+        self, phase_count, monkeypatch
+    ):
+        # The real embedding of the K block, (2|K|)^2, not of all 2np
+        # unknowns; nothing at all without a constant-impedance load.
+        rng = np.random.default_rng(35)
+        factored = 0
+        for profile in ("zip", "i_only", "p_only"):
+            for n in (2, 9, 24):
+                feeder = random_radial_feeder(
+                    rng, n, phase_count, profile=profile, v_s=1.01 - 0.01j,
+                    delta_fraction=0.4 if phase_count == 3 else 0.0,
+                )
+                for v0 in (1.02, 0.97 + 0.02j):
+                    shapes, slots = self._restricted_solve(
+                        feeder, monkeypatch, v0
+                    )
+                    assert shapes == (
+                        [(2 * slots, 2 * slots)] if slots else []
+                    )
+                    assert slots == 0 or profile == "zip"
+                    factored += bool(slots)
+        assert factored >= 4
+
+    @pytest.mark.parametrize("z", [0.01 + 0.02j, _Z3], ids=["1", "3"])
+    def test_point_where_the_conjugate_term_cancels_is_singular(self, z):
+        # At v0 = v_s / 2, |q| = 1 and x + q conj(x) has lost x's component
+        # along i sqrt(q): with no constant-impedance load to pin it, the
+        # system is singular. No numpy warning, which the test settings
+        # turn into an error.
+        for v_s in (1.04, 0.98 + 0.01j):
+            feeder = chain_feeder(4, z, v_s=v_s, loads=(
+                ZipLoad("3", s_p=0.1 + 0.02j, s_i=0.05), ZipLoad("4", s_p=0.05)
+            ))
+            with pytest.raises(SingularError):
+                solve(feeder, "linear-full", v0=v_s / 2)
+
+    def test_one_solve_site(self):
+        # One solve path at every linearization point: the module factors
+        # a matrix in one place.
+        module = ast.parse(Path(linsolve.__file__).read_text())
+        sites = [
+            node.lineno for node in ast.walk(module)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "np.linalg.solve"
+        ]
+        assert len(sites) == 1
 
     def test_slack_voltage_as_v0_is_the_default(self):
         # A given v0 is rotated into each phase as the slack voltage is.
@@ -771,10 +834,12 @@ def test_oracle_proximity_light_load():
 
 
 def test_point_beyond_the_float_range_of_its_magnitude_is_named():
-    # |v0| itself overflows: the point is valid, and linear-full names it.
+    # |v0| itself overflows: the point is valid, but 1 - |q|^2 is zero.
     huge = complex(1.7e308, 1.7e308)
     assert check_v0(huge) == huge
-    with pytest.raises(SingularError, match=r"overflows: \|v0\| = inf$"):
+    with pytest.raises(
+        SingularError, match="^linear-full produced non-finite voltages$"
+    ):
         solve(two_bus_feeder(), "linear-full", v0=huge)
 
 
@@ -794,22 +859,14 @@ def test_linearization_point_rejects_non_finite_phasors(value):
         solve(two_bus_feeder(), "linear-full", v0=value)
 
 
-_Z3 = tuple(
-    tuple(0.01 + 0.02j if i == j else 0.004j for j in range(3))
-    for i in range(3)
-)
-
-
 @pytest.mark.parametrize("z", [0.01 + 0.02j, _Z3], ids=["1", "3"])
-@pytest.mark.parametrize("v_s, v0", [(1.5e154, None), (1.0, 1.5e154)])
+@pytest.mark.parametrize("v_s, v0", [(1.0, 1.5e154)])
 def test_overflowing_linearization_point_is_named(z, v_s, v0):
-    # c_0 = -|v0|^2 overflows past about 1.34e154, where the other methods
-    # still solve the feeder.
+    # q = (v0 - v_s) / conj(v0) rounds to unit magnitude, so 1 - |q|^2 is
+    # zero, where the other methods still solve the feeder.
     feeder = chain_feeder(3, z, v_s=v_s, loads=(ZipLoad("3", s_p=0.1),))
     with pytest.raises(
-        SingularError,
-        match=r"^\|v0\|\^2 of the linearization point overflows: "
-        r"\|v0\| = 1\.500e\+154$",
+        SingularError, match="^linear-full produced non-finite voltages$"
     ):
         solve(feeder, "linear-full", v0=v0)
     for method in ("linear-simple", "bfs"):
@@ -817,9 +874,28 @@ def test_overflowing_linearization_point_is_named(z, v_s, v0):
 
 
 @pytest.mark.parametrize("z", [0.01 + 0.02j, _Z3], ids=["1", "3"])
+def test_point_near_zero_matches_the_stacked_real_solve(z):
+    # |q|^2 = |v0 - v_s|^2 / |v0|^2 overflows below about 1e-154.
+    feeder = chain_feeder(4, z, loads=(
+        ZipLoad("3", s_z=0.02, s_i=0.05, s_p=0.1 + 0.02j),
+        ZipLoad("4", s_p=0.05),
+    ))
+    for v0 in (1e-100, 1e-200 + 1e-200j):
+        x = solve(feeder, "linear-full", v0=v0).voltages
+        exact = stacked_solve(*linear_full_system(feeder, v0))
+        error = x[feeder.phase_count:] - exact
+        assert np.max(np.abs(error)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("z", [0.01 + 0.02j, _Z3], ids=["1", "3"])
 def test_slack_below_the_overflow_solves(z):
-    feeder = chain_feeder(3, z, v_s=1.3e154, loads=(ZipLoad("3", s_p=0.1),))
-    assert np.all(np.isfinite(solve(feeder, "linear-full").voltages))
+    # |v_s|^2 overflows past about 1.34e154; no method forms it.
+    for v_s in (1.3e154, 1.5e154):
+        feeder = chain_feeder(
+            3, z, v_s=v_s, loads=(ZipLoad("3", s_p=0.1),)
+        )
+        for method in ("linear-simple", "linear-full", "bfs"):
+            assert np.all(np.isfinite(solve(feeder, method).voltages))
 
 
 @pytest.mark.parametrize("name", ["balanced_ten_bus", "unbalanced_ten_bus"])
