@@ -5,10 +5,11 @@ sections ``slack``, ``branches``, ``loads`` and ``options``. Complex values
 are objects with either ``re``/``im`` or ``mag``/``angle_deg`` keys; angles
 live in degrees in files and radians internally. Three-phase branch
 impedances are nine complex entries, row-major. Quantities are per-unit
-unless ``options.v_base`` declares a physical voltage base. A well-formed
-section is read in one array pass, which checks JSON types and leaves the
-values to ``Branch`` and ``ZipLoad``; any other goes through scalar
-converters that name the first bad field.
+unless ``options.v_base`` declares a physical voltage base. The branches
+and the loads are each read by one loop, which applies every field rule
+once, in document order, and names the first bad field. A section whose
+complex values are all finite ``re``/``im`` numbers has them converted
+up front in one array; any other has them converted value by value.
 
 Results leave through one row writer, ``node_rows`` (a row per node and
 phase), and one choice of format, ``render``. Every number passes through
@@ -102,136 +103,102 @@ def _impedance(value: Any, ctx: str):
     return _complex(value, ctx)
 
 
-def _branches(raw_branches: list) -> list[Branch]:
-    branches = []
-    for i, raw in enumerate(raw_branches):
-        ctx = f"branches[{i}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{ctx}: expected an object")
-        try:
-            branches.append(
-                Branch(
-                    id=str(raw.get("id", f"b{i + 1}")),
-                    from_node=str(_require(raw, "from", ctx)),
-                    to_node=str(_require(raw, "to", ctx)),
-                    impedance=_impedance(
-                        _require(raw, "impedance", ctx), f"{ctx}.impedance"
-                    ),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"{ctx}: {exc}") from exc
-    return branches
-
-
-def _loads(raw_loads: list, known: set, slack_node: str) -> list[ZipLoad]:
-    loads = []
-    for i, raw in enumerate(raw_loads):
-        ctx = f"loads[{i}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{ctx}: expected an object")
-        node = str(_require(raw, "node", ctx))
-        if node not in known:
-            raise ParseError(f"{ctx}: unknown node {node}")
-        if node == slack_node:
-            raise ParseError(
-                f"{ctx}: loads at the slack node are not modeled"
-            )
-        try:
-            loads.append(
-                ZipLoad(
-                    node=node,
-                    s_z=_complex(raw.get("s_z", 0.0), f"{ctx}.s_z"),
-                    s_i=_complex(raw.get("s_i", 0.0), f"{ctx}.s_i"),
-                    s_p=_complex(raw.get("s_p", 0.0), f"{ctx}.s_p"),
-                    phase=str(raw.get("phase", "all")),
-                    connection=str(raw.get("connection", "wye")),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"{ctx}: {exc}") from exc
-    return loads
-
-
-# The array pass below raises nothing: on anything it does not take
-# (another complex form, a missing field, a value an object rejects) it
-# returns None, and the section goes through the scalar converters above.
 _PARTS = operator.itemgetter("re", "im")
 _ZERO = {"re": 0.0, "im": 0.0}
 _COMPONENTS = ("s_z", "s_i", "s_p")
-_NOT_PLAIN = (
-    LookupError, TypeError, ValueError, ArithmeticError, AttributeError
-)
 
 
 def _complex_array(values: Iterable) -> np.ndarray | None:
-    """``re``/``im`` objects as one complex array, or None unless every
-    part is a JSON number."""
-    parts = list(chain.from_iterable(map(_PARTS, values)))
-    if not set(map(type, parts)) <= {int, float}:
-        return None
-    return np.array(parts, dtype=np.float64).view(np.complex128)
-
-
-def _branch_pass(raw_branches: list, phase_count: int):
-    """The branches and their (m, p, p) impedance stack in document order,
-    or None."""
+    """A section's ``re``/``im`` objects as one complex array, or None
+    for any other form, a part that is not a number, a non-finite part, an
+    integer past the float range or an error raised by ``values`` itself."""
     try:
-        impedances = [raw["impedance"] for raw in raw_branches]
-        if phase_count == 3:
-            if not all(type(z) is list and len(z) == 9 for z in impedances):
-                return None
-            impedances = chain.from_iterable(impedances)
-        z = _complex_array(impedances)
-        if z is None:
+        parts = list(chain.from_iterable(map(_PARTS, values)))
+        if not set(map(type, parts)) <= {int, float}:
             return None
+        z = np.array(parts, dtype=np.float64)
+    except (LookupError, TypeError, AttributeError, OverflowError):
+        return None
+    return z.view(np.complex128) if np.isfinite(z).all() else None
+
+
+def _branches(raw_branches: list, phase_count: int):
+    """The branches in document order and, when every impedance converts
+    at once, their (m, p, p) impedance stack (else None)."""
+    impedances = (raw["impedance"] for raw in raw_branches)
+    if phase_count == 3:
+        # Nine entries a branch; any other value fails the conversion.
+        impedances = chain.from_iterable(
+            z if type(z) is list and len(z) == 9 else (None,)
+            for z in impedances
+        )
+    z = _complex_array(impedances)
+    stack = values = None
+    if z is not None:
         stack = z.reshape(len(raw_branches), phase_count, phase_count)
         values = z.tolist()
         if phase_count == 3:
-            # Nine entries a branch: rows of three, then matrices of three
-            # rows, grouped by zipping one iterator with itself.
+            # Rows of three, then matrices of three rows, grouped by
+            # zipping one iterator with itself.
             rows = zip(*[iter(values)] * 3)
             values = list(zip(*[rows] * 3))
-        branches = [
-            Branch(
+    branches = []
+    for i, raw in enumerate(raw_branches):
+        try:
+            branches.append(Branch(
                 str(raw["id"]) if "id" in raw else f"b{i + 1}",
                 str(raw["from"]),
                 str(raw["to"]),
-                value,
-            )
-            for i, (raw, value) in enumerate(zip(raw_branches, values))
-        ]
-    except _NOT_PLAIN:
-        return None
+                _impedance(raw["impedance"], f"branches[{i}].impedance")
+                if values is None else values[i],
+            ))
+        except (LookupError, TypeError):
+            if not isinstance(raw, dict):
+                raise ParseError(f"branches[{i}]: expected an object") from None
+            for key in ("from", "to", "impedance"):
+                _require(raw, key, f"branches[{i}]")
+            raise
+        except ValueError as exc:
+            raise ParseError(f"branches[{i}]: {exc}") from exc
     return branches, stack
 
 
-def _load_pass(raw_loads: list, known: set, slack_node: str):
-    """The loads in document order, or None."""
-    try:
-        nodes = [str(raw["node"]) for raw in raw_loads]
-        if slack_node in nodes or not known.issuperset(nodes):
-            return None
-        z = _complex_array(
-            raw.get(key, _ZERO) for raw in raw_loads for key in _COMPONENTS
-        )
-        if z is None:
-            return None
-        return [
-            ZipLoad(
-                node,
-                s_z,
-                s_i,
-                s_p,
+def _loads(raw_loads: list, known: set, slack_node: str) -> list[ZipLoad]:
+    z = _complex_array(
+        raw.get(key, _ZERO) for raw in raw_loads for key in _COMPONENTS
+    )
+    values = None if z is None else z.reshape(-1, 3).tolist()
+    loads = []
+    for i, raw in enumerate(raw_loads):
+        try:
+            node = str(raw["node"])
+        except (LookupError, TypeError):
+            if not isinstance(raw, dict):
+                raise ParseError(f"loads[{i}]: expected an object") from None
+            _require(raw, "node", f"loads[{i}]")
+            raise
+        if node not in known:
+            raise ParseError(f"loads[{i}]: unknown node {node}")
+        if node == slack_node:
+            raise ParseError(
+                f"loads[{i}]: loads at the slack node are not modeled"
+            )
+        if values is None:
+            s_z, s_i, s_p = (
+                _complex(raw.get(key, 0.0), f"loads[{i}].{key}")
+                for key in _COMPONENTS
+            )
+        else:
+            s_z, s_i, s_p = values[i]
+        try:
+            loads.append(ZipLoad(
+                node, s_z, s_i, s_p,
                 str(raw.get("phase", "all")),
                 str(raw.get("connection", "wye")),
-            )
-            for node, raw, (s_z, s_i, s_p) in zip(
-                nodes, raw_loads, z.reshape(-1, 3).tolist()
-            )
-        ]
-    except _NOT_PLAIN:
-        return None
+            ))
+        except ValueError as exc:
+            raise ParseError(f"loads[{i}]: {exc}") from exc
+    return loads
 
 
 def parse_feeder(text: str) -> Feeder:
@@ -270,9 +237,7 @@ def parse_feeder(text: str) -> Feeder:
     raw_branches = doc.get("branches", [])
     if not isinstance(raw_branches, list):
         raise ParseError("branches: expected a list")
-    branches, impedances = _branch_pass(raw_branches, phase_count) or (
-        _branches(raw_branches), None
-    )
+    branches, impedances = _branches(raw_branches, phase_count)
 
     explicit_nodes = doc.get("nodes")
     if explicit_nodes is not None:
@@ -303,9 +268,7 @@ def parse_feeder(text: str) -> Feeder:
     raw_loads = doc.get("loads", [])
     if not isinstance(raw_loads, list):
         raise ParseError("loads: expected a list")
-    loads = _load_pass(raw_loads, known, slack_node)
-    if loads is None:
-        loads = _loads(raw_loads, known, slack_node)
+    loads = _loads(raw_loads, known, slack_node)
 
     options = doc.get("options", {})
     if not isinstance(options, dict):

@@ -411,6 +411,17 @@ class TestNonFiniteResult:
             assert (code, err) == (3, expected)
 
     @pytest.mark.parametrize("name", ["two_bus", "unbalanced_ten_bus"])
+    def test_v0_whose_reciprocal_overflows_is_named(self, name, capsys):
+        argv = [
+            "solve", str(DATA / f"{name}.json"), "--method", "linear-full",
+            "--v0", "5e-324",
+        ]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == HUGE_V0_ERROR
+
+    @pytest.mark.parametrize("name", ["two_bus", "unbalanced_ten_bus"])
     def test_v0_beyond_the_float_range_is_named(self, name):
         proc = run_cli(
             "solve", str(DATA / f"{name}.json"), "--method", "linear-full",

@@ -1,7 +1,9 @@
+import ast
 import functools
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -593,6 +595,14 @@ BAD_DOCS = {
         d["slack"]["node"])),
     "loads-not-list": ("gen-3ph-n30", _set(("loads",), {"node": "n2"})),
     "options-not-object": ("gen-1ph-n40", _set(("options",), [1.0])),
+    # Every value below is good, or fails before the named field, so these
+    # reach the section's loop with converted values or name the first item.
+    "missing-to": ("gen-3ph-n30", _drop(("branches", 7, "to"))),
+    "missing-load-node": ("gen-1ph-n40", _drop(("loads", 3, "node"))),
+    "load-not-object-after-missing-node": ("gen-3ph-n30", _drop(
+        ("loads", 1, "node")), _set(("loads", 4), 7)),
+    "unknown-node-after-nan-load": ("gen-1ph-n40", _set(
+        ("loads", 1, "s_p"), _NAN), _set(("loads", 4, "node"), "zz")),
 }
 
 EXPECTED_ERRORS: dict[str, tuple[str, str]] = {
@@ -648,6 +658,10 @@ EXPECTED_ERRORS: dict[str, tuple[str, str]] = {
         "ParseError",
         "loads[3]: loads at the slack node are not modeled",
     ),
+    "load-not-object-after-missing-node": (
+        "ParseError",
+        "loads[1]: missing required field 'node'",
+    ),
     "load-list-then-nan": (
         "ParseError",
         "loads[2].s_p: expected a complex value object",
@@ -671,6 +685,14 @@ EXPECTED_ERRORS: dict[str, tuple[str, str]] = {
     "missing-impedance": (
         "ParseError",
         "branches[4]: missing required field 'impedance'",
+    ),
+    "missing-load-node": (
+        "ParseError",
+        "loads[3]: missing required field 'node'",
+    ),
+    "missing-to": (
+        "ParseError",
+        "branches[7]: missing required field 'to'",
     ),
     "missing-to-then-nan": (
         "ParseError",
@@ -724,6 +746,10 @@ EXPECTED_ERRORS: dict[str, tuple[str, str]] = {
         "ParseError",
         "loads[1]: unknown node zz",
     ),
+    "unknown-node-after-nan-load": (
+        "ParseError",
+        "loads[1].s_p: complex parts must be finite numbers, got {'re': nan, 'im': 0.01}",
+    ),
 }
 
 
@@ -745,6 +771,17 @@ def test_parse_names_the_same_first_error(name):
 def test_every_document_has_an_expected_value(parse_docs):
     assert sorted(EXPECTED_FEEDERS) == sorted(parse_docs)
     assert sorted(EXPECTED_ERRORS) == sorted(BAD_DOCS)
+
+
+def test_one_reader_per_section():
+    # One loop reads each section: the module builds a Branch at one site
+    # and a ZipLoad at one site, so every field rule has one copy.
+    module = ast.parse(Path(radialflow.io.__file__).read_text())
+    calls = Counter(
+        ast.unparse(node.func) for node in ast.walk(module)
+        if isinstance(node, ast.Call)
+    )
+    assert (calls["Branch"], calls["ZipLoad"]) == (1, 1)
 
 
 @pytest.fixture(scope="module")

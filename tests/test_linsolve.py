@@ -843,6 +843,25 @@ def test_point_beyond_the_float_range_of_its_magnitude_is_named():
         solve(two_bus_feeder(), "linear-full", v0=huge)
 
 
+@pytest.mark.parametrize("name", ["two_bus", "unbalanced_ten_bus"])
+@pytest.mark.parametrize("v0", [1e-309, 5e-324, 5e-324j])
+def test_point_whose_reciprocal_overflows_is_named(name, v0):
+    # 1/|v0| overflows, so neither q = (v0 - v_s)/conj(v0) nor the
+    # constant-power term conj(s_p)/conj(v0) has a float value: the same
+    # rule as a point whose magnitude overflows. RuntimeWarnings are errors.
+    with pytest.raises(
+        SingularError, match="^linear-full produced non-finite voltages$"
+    ):
+        solve(radialflow.example_feeder(name), "linear-full", v0=v0)
+
+
+@pytest.mark.parametrize("name", ["two_bus", "unbalanced_ten_bus"])
+def test_subnormal_point_whose_reciprocal_is_finite_solves(name):
+    assert 1e-308 < sys.float_info.min  # subnormal
+    x = solve(radialflow.example_feeder(name), "linear-full", v0=1e-308)
+    assert np.all(np.isfinite(x.voltages))
+
+
 def test_linearization_point_validation():
     with pytest.raises(ValueError):
         check_v0(0j)
