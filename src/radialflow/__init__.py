@@ -25,7 +25,6 @@ from .linsolve import (
     LinearModel,
     Solution,
     assemble,
-    linearize_vsq,
     solve,
     solve_linear,
     solve_linear_full,
@@ -93,7 +92,6 @@ __all__ = [
     "delta_to_wye_injections",
     "example_feeder",
     "injection_current",
-    "linearize_vsq",
     "losses",
     "luvr",
     "node_errors",

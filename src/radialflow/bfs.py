@@ -3,11 +3,11 @@
 Alternates a backward sweep (sum each subtree's current, with ZIP injections
 at the present voltages) with a forward sweep (drop each node's voltage from
 its parent's through the branch impedance) until the largest voltage update
-is under the tolerance. V = V_s - U^-1 Z U^-T I(V) runs on the tree kernels
-of the reduced impedance D: O(n p^2) arithmetic per iteration, each sweep one
-Python walk over the nodes per phase, and a fixed number of numpy calls
-around them. Delta loads are evaluated against the iterate's line voltages,
-so the fixed point satisfies the exact nodal equations.
+is under the tolerance. Each sweep is V = V_s - D J(V), J = -I the loads'
+draw, by ``network.drop_through`` without forming D: O(n p^2) arithmetic
+and a fixed number of numpy calls per iteration. Delta loads are evaluated
+against the iterate's line voltages, so the fixed point satisfies the
+exact nodal equations.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .linsolve import Solution
 from .loads import nodal_injections
-from .network import Feeder, build_incidence, path_sums, subtree_sums, ybus
+from .network import Feeder, build_incidence, drop_through, ybus
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ def solve_bfs(feeder: Feeder, opts: BfsOptions | None = None) -> Solution:
     iterate) when the iteration budget runs out, RadialityError when the
     feeder is not radial and SingularError on a degenerate impedance."""
     opts = opts or BfsOptions()
-    tree = feeder.tree
-    z = feeder.checked_impedances
+    feeder.checked_impedances  # raises before the first sweep if degenerate
     p = feeder.phase_count
     n = len(feeder.nodes)
     slack = feeder.slack_phasors()
@@ -59,14 +58,10 @@ def solve_bfs(feeder: Feeder, opts: BfsOptions | None = None) -> Solution:
 
     for iterations in range(1, opts.max_iterations + 1):
         injections = nodal_injections(feeder, voltages).reshape(n, p)
-        # Backward: the current each non-slack node's subtree draws through
-        # the branch feeding it, incidence row k - 1 for node k. Summing the
+        # Each non-slack node draws minus its injection. Summing the
         # injections as they are, and walking down the drops unnegated,
         # would turn some -0.0 voltage parts into +0.0.
-        into_subtree = subtree_sums(tree, -injections[1:])
-        drops = (z @ into_subtree[:, :, None])[..., 0]
-        # Forward: drop each node's voltage from its parent's.
-        below = path_sums(tree, slack, -drops)
+        below = drop_through(feeder, slack, -injections[1:])
         updated = np.concatenate([slack, below.ravel()])
         shift = float(abs(updated - voltages).max())
         voltages = updated

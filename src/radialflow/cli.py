@@ -266,7 +266,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RadialFlowError, MemoryError) as exc:
-        print(f"solver error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, MemoryError):  # numpy's names the allocation
+            message = "out of memory" + (f" ({message})" if message else "")
+        print(f"solver error: {message}", file=sys.stderr)
         return EXIT_SOLVER
 
 

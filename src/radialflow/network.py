@@ -11,7 +11,9 @@ where U^-1 sums down each node's path from the slack and U^-T over its
 subtree. ``path_sums`` and ``subtree_sums`` do so in place with one Python
 walk per column of a payload, one row per node, over flat (node, parent)
 sequences each tree builds once (``TreeInfo.downward`` and ``upward``),
-converting the payload to Python lists and back once per call;
+converting the payload to Python lists and back once per call.
+``drop_through`` chains them into root - D J, the one tree pass of BFS's
+sweep and of linear-full's correction.
 ``reduced_impedance`` walks ``downward`` too. linear-simple's direct solve
 is ``eliminate``, leaves first, and ``substitute``, down from the slack,
 one Python walk over ``downward``. Single-phase ``eliminate`` is a scalar
@@ -574,6 +576,17 @@ def subtree_sums(tree: TreeInfo, values: np.ndarray) -> np.ndarray:
     order."""
     nodes, parents = tree.upward
     return _walk(values, 0, parents, nodes)
+
+
+def drop_through(feeder: Feeder, root, draw: np.ndarray) -> np.ndarray:
+    """root - D draw, in place on the (m, p) ``draw`` (row k - 1 node k's),
+    returned: ``subtree_sums`` of it, each branch's current, times the
+    impedances, and ``path_sums`` of the negated drops from ``root``."""
+    tree = feeder.tree
+    subtree_sums(tree, draw)
+    drops = feeder.checked_impedances @ draw[..., np.newaxis]
+    np.negative(drops[..., 0], out=draw)
+    return path_sums(tree, root, draw)
 
 
 def eliminate(feeder: Feeder, stack: np.ndarray) -> np.ndarray:

@@ -305,6 +305,19 @@ def dense_linear_system(feeder: Feeder) -> tuple[np.ndarray, np.ndarray]:
     return sys_a, v_s - feeder.h * p_base - feeder.h * i_base
 
 
+def linearize_vsq(v0: complex | np.ndarray) -> tuple:
+    """First-order coefficients of V * conj(V) around ``v0``, one phasor or
+    an array of them.
+
+    Returns (c_v, c_vbar, c_0) with V * conj(V) ~ c_v V + c_vbar conj(V)
+    + c_0; the expansion is exact at V = v0.
+    """
+    magnitude = np.abs(v0)
+    if np.any(magnitude <= 0):
+        raise ValueError("linearization point must have positive magnitude")
+    return np.conjugate(v0), v0, -np.square(magnitude)
+
+
 def linear_full_system(
     feeder: Feeder, v0: complex | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -319,8 +332,7 @@ def linear_full_system(
         complex(v0) * rho for rho in PHASE_ROTATIONS[: feeder.phase_count]
     ]
     point = np.tile(np.asarray(point, dtype=complex), len(feeder.nodes) - 1)
-    c_v, c_vbar = np.conjugate(point), point
-    c_0 = -np.square(np.abs(point))
+    c_v, c_vbar, c_0 = linearize_vsq(point)
     m1 = c_v[:, np.newaxis] * sys_a
     b = -np.conjugate(rho) * p_base - c_v * feeder.h * i_base - c_0
     return m1, c_vbar - v_s, b

@@ -147,6 +147,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "solver error: out of memory\n"
 
+    @pytest.mark.parametrize("command", ["solve", "compare", "metrics"])
+    def test_out_of_memory_keeps_numpy_s_message(
+        self, valid_file, capsys, monkeypatch, command
+    ):
+        message = (
+            "Unable to allocate 57.2 GiB for an array with shape "
+            "(87600, 87600) and data type complex128"
+        )
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("radialflow.cli.solve", exhausted)
+        assert main([command, valid_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"solver error: out of memory ({message})\n"
+
     def test_compare_and_metrics_ok(self, valid_file):
         assert main(["compare", valid_file]) == 0
         assert main(["metrics", valid_file]) == 0

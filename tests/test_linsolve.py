@@ -20,7 +20,6 @@ from radialflow import (
     SingularError,
     ZipLoad,
     assemble,
-    linearize_vsq,
     network,
     node_errors,
     parse_feeder,
@@ -39,6 +38,7 @@ from helpers import (
     chain_feeder,
     dense_linear_system,
     linear_full_system,
+    linearize_vsq,
     perfbench_gen,
     random_radial_feeder,
     real_embedding,

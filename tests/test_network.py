@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import radialflow.bfs
+import radialflow.network
 from radialflow import (
     BfsOptions,
     Branch,
@@ -28,6 +28,7 @@ from radialflow import (
 )
 from radialflow.network import (
     branch_impedance_matrix,
+    drop_through,
     eliminate,
     in_walk_order,
     path_sums,
@@ -386,10 +387,12 @@ class TestWalkKernels:
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(
-                    radialflow.bfs, "path_sums", counted(level_path_sums)
+                    radialflow.network, "path_sums", counted(level_path_sums)
                 )
                 patch.setattr(
-                    radialflow.bfs, "subtree_sums", counted(level_subtree_sums)
+                    radialflow.network,
+                    "subtree_sums",
+                    counted(level_subtree_sums),
                 )
                 expected = solve_bfs(feeder, opts)
             # The sweep ran on the oracles, not on the kernels themselves.
@@ -449,6 +452,49 @@ class TestWalkKernels:
             if isinstance(node, ast.Attribute) and node.attr in walk
         ]
         assert readers == []
+
+
+class TestDropThrough:
+    """``drop_through`` is root - D draw on the tree, D the reduced
+    impedance."""
+
+    def _feeders(self, phase_count):
+        rng = np.random.default_rng(60 + phase_count)
+        for _ in range(4):
+            feeder = random_radial_feeder(
+                rng, int(rng.integers(2, 60)), phase_count, profile="zip"
+            )
+            yield in_walk_order(feeder)
+            yield shuffled(rng, feeder, flip=0.5)
+        chain = [(k - 1, k) for k in range(1, 2000)]
+        yield random_radial_feeder(rng, 2000, phase_count, edges=chain)
+        star = [(0, k) for k in range(1, 200)]
+        yield random_radial_feeder(rng, 200, phase_count, edges=star)
+
+    @staticmethod
+    def _d_times(feeder, draw):
+        """D draw, with D from ``reduced_impedance``; past 2000 unknowns,
+        where the 3-phase chain's D would take 576 MB, as
+        A_M^-1 Z A_M^-T draw with A_M inverted explicitly."""
+        m, p = draw.shape
+        if m * p <= 2000:
+            d = reduced_impedance(None, feeder).d
+            return (d @ draw.reshape(-1)).reshape(m, p)
+        a_inv = np.linalg.inv(build_incidence(feeder).a_m)
+        currents = (a_inv.T @ draw)[..., np.newaxis]
+        return a_inv @ (feeder.checked_impedances @ currents)[..., 0]
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_matches_the_dense_reduced_impedance(self, phase_count):
+        rng = np.random.default_rng(70 + phase_count)
+        for feeder in self._feeders(phase_count):
+            m = len(feeder.nodes) - 1
+            root = _spread_complex(rng, (phase_count,))
+            draw = _spread_complex(rng, (m, phase_count))
+            dense = self._d_times(feeder, draw)
+            assert drop_through(feeder, root, draw) is draw
+            scale = max(np.max(np.abs(dense)), np.max(np.abs(root)))
+            assert np.max(np.abs(draw - (root - dense))) <= 1e-12 * scale
 
 
 class TestEliminationKernels:
