@@ -10,17 +10,18 @@ of A_M is the branch feeding node k + 1: A_M = S U, S the orientations
 where U^-1 sums down each node's path from the slack and U^-T over its
 subtree. ``path_sums`` and ``subtree_sums`` do so in place with one Python
 walk per column of a payload, one row per node, over flat (node, parent)
-sequences each tree builds once (``TreeInfo.downward`` and ``upward``),
-converting the payload to Python lists and back once per call.
+sequences each tree builds once: ``TreeInfo.downward``, parents first in
+walk order, and ``upward``, the same walk in reverse. Each converts the
+payload to Python lists and back once per call.
 ``drop_through`` chains them into root - D J, the one tree pass of BFS's
 sweep and of linear-full's correction.
 ``reduced_impedance`` walks ``downward`` too. linear-simple's direct solve
 is ``eliminate``, leaves first, and ``substitute``, down from the slack,
 one Python walk over ``downward``. Single-phase ``eliminate`` is a scalar
-loop over it too; three-phase ``eliminate`` takes a few numpy steps per
-level of heavy chains (``TreeInfo.chains``), O(log depth) of them per
-level, where a depth level holds too few nodes to repay one. So no other
-module reads the walk order itself. The bus admittance Y = A^T C A is
+loop over it in reverse, so every pass up the tree adds siblings in the
+same order; three-phase ``eliminate`` takes a few numpy steps per level of
+heavy chains (``TreeInfo.chains``), O(log depth) of them per level. So no
+other module reads the walk order itself. The bus admittance Y = A^T C A is
 scattered from the per-branch admittance blocks, without forming A or any
 dense product.
 """
@@ -263,16 +264,13 @@ class TreeInfo:
     ``feeder.nodes``: the walk order from the slack, each node's parent
     (-1 for the slack), and the branch feeding node k + 1, which is
     incidence row k, with the from/to positions of its stored orientation
-    in ``ends`` (shape (m, 2)). Depth d of the walk is
-    ``order[levels[d]:levels[d + 1]]``; the slack alone is depth 0. The
-    walks of the kernels and the plan of the three-phase ``eliminate`` are
-    built on first use."""
+    in ``ends`` (shape (m, 2)). The walks of the kernels and the plan of
+    the three-phase ``eliminate`` are built on first use."""
 
     order: tuple[int, ...]
     parent: tuple[int, ...]
     branches: tuple[Branch, ...]
     ends: np.ndarray
-    levels: tuple[int, ...]
 
     @cached_property
     def downward(self) -> tuple:
@@ -286,14 +284,11 @@ class TreeInfo:
     @cached_property
     def upward(self) -> tuple:
         """The walk of ``subtree_sums`` as flat (nodes, parents) tuples,
-        built once per tree: the nodes below depth 1 from the deepest level
-        up, each level in walk order."""
-        order, levels = self.order, self.levels
-        nodes = tuple(chain.from_iterable(
-            order[levels[depth]:levels[depth + 1]]
-            for depth in range(len(levels) - 2, 1, -1)
-        ))
-        return nodes, tuple(map(self.parent.__getitem__, nodes))
+        built once per tree: ``downward`` in reverse, children before
+        parents, less the slack's children, whose sums have nowhere to go."""
+        parent = self.parent
+        nodes = tuple(k for k in reversed(self.order) if parent[k] > 0)
+        return nodes, tuple(map(parent.__getitem__, nodes))
 
     @cached_property
     def chains(self) -> tuple:
@@ -431,12 +426,9 @@ def tree_structure(feeder: Feeder) -> TreeInfo:
 
     order = [0]
     parent = [-1] * n
-    levels = [0, 1]
     feeding: list[Branch | None] = [None] * n
     frontier = 0
     while frontier < len(order):
-        if frontier == levels[-1]:  # this depth is all queued: next starts
-            levels.append(len(order))
         node = order[frontier]
         frontier += 1
         for neighbor, branch in adjacency[node]:
@@ -455,7 +447,6 @@ def tree_structure(feeder: Feeder) -> TreeInfo:
         parent=tuple(parent),
         branches=branches,
         ends=ends,
-        levels=tuple(levels),
     )
 
 
@@ -488,7 +479,6 @@ def in_walk_order(
         parent=tuple(parent.tolist()),
         branches=branches,
         ends=walk[tree.ends[rows]],
-        levels=tree.levels,
     )
     if impedances is not None:
         row_of = {id(branch): k for k, branch in enumerate(feeder.branches)}
@@ -562,8 +552,7 @@ def path_sums(tree: TreeInfo, root, steps: np.ndarray) -> np.ndarray:
     node k) becomes ``root`` plus the steps on node k's path from the
     slack, x[k] = x[parent] + steps[k - 1] with x[slack] = root. Returns
     ``steps``. One Python walk per column of the rows over
-    ``tree.downward``, as a depth level holds too few numbers to repay a
-    numpy call."""
+    ``tree.downward``, parents first."""
     nodes, parents = tree.downward
     return _walk(steps, root, nodes, parents)
 
@@ -571,9 +560,9 @@ def path_sums(tree: TreeInfo, root, steps: np.ndarray) -> np.ndarray:
 def subtree_sums(tree: TreeInfo, values: np.ndarray) -> np.ndarray:
     """Up the tree, in place: row k - 1 of ``values`` (node k) becomes the
     sum of ``values`` over node k's subtree. Returns ``values``. One Python
-    walk per column of the rows over ``tree.upward``: deepest level first,
-    each node added into its parent, siblings one after another in walk
-    order."""
+    walk per column of the rows over ``tree.upward``: each node added into
+    its parent after all of its children, siblings in reverse walk order,
+    as ``eliminate`` adds them."""
     nodes, parents = tree.upward
     return _walk(values, 0, parents, nodes)
 
@@ -595,8 +584,8 @@ def eliminate(feeder: Feeder, stack: np.ndarray) -> np.ndarray:
     becomes [A | B] = (I + A_k z_k)^-1 [A_k | B_k], z_k the impedance
     feeding node k: the subtree's current A x_parent + B. Returns ``stack``.
 
-    A scalar loop over ``tree.downward`` in reverse when p = 1, as a level
-    holds too few numbers to repay a numpy call. Otherwise per chain level
+    A scalar loop over ``tree.downward`` in reverse when p = 1, which adds
+    siblings in the order of ``subtree_sums``. Otherwise per chain level
     of ``tree.chains``, deepest first: each node's 7x7 transfer along its
     chain, their suffix products down to the chain's tail in O(log length)
     batched rounds (Hillis-Steele), one batched solve for every node's

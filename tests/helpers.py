@@ -161,13 +161,33 @@ def shuffled(
     return replace(feeder, nodes=(feeder.slack, *rest), branches=branches)
 
 
+def scaled(feeder: Feeder, factor: float) -> Feeder:
+    """The same feeder with every load's s_z, s_i and s_p times ``factor``:
+    past the 0.05 p.u. per load that ``random_radial_feeder`` draws."""
+    loads = tuple(
+        replace(
+            load,
+            s_z=load.s_z * factor,
+            s_i=load.s_i * factor,
+            s_p=load.s_p * factor,
+        )
+        for load in feeder.loads
+    )
+    return replace(feeder, loads=loads)
+
+
 def level_schedule(tree) -> list:
     """The walk in incidence rows (node k is row k - 1), one entry per depth
     level from 1: its rows and its parents' rows (None for the slack's
-    children), in walk order."""
+    children), in walk order. Depth is counted along ``tree.parent``; the
+    walk is breadth first, so each level is one run of it."""
+    depth = [0] * len(tree.order)
+    for node in tree.order[1:]:
+        depth[node] = depth[tree.parent[node]] + 1
     rows = np.asarray(tree.order[1:], dtype=np.intp) - 1
     parents = np.asarray(tree.parent, dtype=np.intp)[rows + 1] - 1
-    cuts = [cut - 1 for cut in tree.levels[1:]]
+    depths = np.asarray(depth, dtype=np.intp)[rows + 1]
+    cuts = np.flatnonzero(np.diff(depths, prepend=0, append=-1)).tolist()
     return [
         (rows[level], parents[level] if level.start else None)
         for level in map(slice, cuts[:-1], cuts[1:])
@@ -184,10 +204,11 @@ def level_path_sums(tree, root, steps: np.ndarray) -> np.ndarray:
 
 def level_subtree_sums(tree, values: np.ndarray) -> np.ndarray:
     """Oracle for ``network.subtree_sums`` at any payload rank: deepest
-    level first, one ``np.add.at`` per level into the parents, which adds
-    siblings one after another in walk order; in place."""
+    level first, one ``np.add.at`` per level into the parents, fed the
+    level's rows in reverse, which adds siblings one after another in
+    reverse walk order; in place."""
     for rows, parents in reversed(level_schedule(tree)[1:]):
-        np.add.at(values, parents, values[rows])
+        np.add.at(values, parents[::-1], values[rows[::-1]])
     return values
 
 

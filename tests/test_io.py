@@ -815,4 +815,3 @@ def test_parse_walks_the_tree_once(name, monkeypatch):
     assert tree.branches == fresh.branches
     assert tree.ends.dtype == fresh.ends.dtype
     assert np.array_equal(tree.ends, fresh.ends)
-    assert tree.levels == fresh.levels

@@ -1,5 +1,6 @@
 import ast
 import collections
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -27,6 +28,7 @@ from radialflow import (
     ybus,
 )
 from radialflow.network import (
+    TreeInfo,
     branch_impedance_matrix,
     drop_through,
     eliminate,
@@ -371,6 +373,21 @@ class TestWalkKernels:
             expected = level_path_sums(tree, 0.0, steps.copy())
             assert np.array_equal(path_sums(tree, 0.0, steps), expected)
 
+    def test_one_order_up_the_tree(self):
+        # With A = 0 every pivot is 1, so the single-phase ``eliminate``
+        # leaves the subtree sums of B, added in its own order.
+        assert [field.name for field in dataclasses.fields(TreeInfo)] == [
+            "order", "parent", "branches", "ends",
+        ]
+        rng = np.random.default_rng(45)
+        for feeder in self._feeders(1):
+            m = len(feeder.nodes) - 1
+            stack = np.zeros((m, 1, 2), dtype=np.complex128)
+            stack[:, 0, 1] = _spread_complex(rng, m)
+            expected = subtree_sums(feeder.tree, stack[:, :, 1].copy())
+            eliminate(feeder, stack)
+            assert np.array_equal(stack[:, :, 1], expected)
+
     @pytest.mark.parametrize("phase_count", [1, 3])
     def test_bfs_matches_the_per_level_kernels(self, phase_count, monkeypatch):
         opts = BfsOptions(tolerance=1e-10)
@@ -427,7 +444,7 @@ class TestWalkKernels:
             )
             assert np.array_equal(reduced_impedance(None, feeder).d, x)
 
-    def test_single_phase_solves_build_no_level_schedule(self):
+    def test_single_phase_solves_build_no_chain_plan(self):
         rng = np.random.default_rng(55)
         feeder = shuffled(rng, random_radial_feeder(rng, 40, profile="zip"))
         for method in ("linear-simple", "linear-full", "bfs"):
