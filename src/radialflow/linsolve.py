@@ -40,16 +40,12 @@ from .network import (
     Feeder,
     drop_through,
     eliminate,
-    path_sums,
     reduced_impedance,
     substitute,
 )
 
 if TYPE_CHECKING:
     from .bfs import BfsOptions
-
-#: Diagonal entries of the system matrix below this magnitude are rejected.
-DIAGONAL_TOLERANCE = 1e-9
 
 
 def check_v0(v0: complex) -> complex:
@@ -117,23 +113,15 @@ def assemble(feeder: Feeder) -> LinearModel:
     children's eliminated rows, and substituting x_k eliminates it to
     I_k = A x_parent + B with [A | B] = (I + A_k z_k)^-1 [A_k | B_k], leaves
     first, without forming D: ``network.eliminate`` on the stack seeded with
-    [C_k | w_k]. The drops are z_k [A | B].
+    [C_k | w_k]. The drops are z_k [A | B]. The one singularity check is
+    on the pivots I + A_k z_k: one below ``network.PIVOT_TOLERANCE`` (1e-9)
+    in magnitude, at p = 3 its determinant det X_k / det X_heavy along a
+    heavy chain, raises SingularError naming its node.
     """
     c, w = _load_terms(feeder, 1.0 / feeder.h)
     z = feeder.checked_impedances
     m, p = c.shape
     with np.errstate(all="ignore"):
-        # The diagonal of I + D C: D's diagonal blocks are the impedances
-        # summed down each node's path.
-        diag = path_sums(feeder.tree, 0.0, z.diagonal(axis1=1, axis2=2).copy())
-        diag = diag.reshape(-1) * c.reshape(-1)
-        diag += 1.0
-        if diag.size and np.min(np.abs(diag)) < DIAGONAL_TOLERANCE:
-            worst = int(np.argmin(np.abs(diag)))
-            raise SingularError(
-                f"system diagonal entry {worst} has magnitude "
-                f"{abs(diag[worst]):.3e}, below {DIAGONAL_TOLERANCE:g}"
-            )
         stack = np.zeros((m, p, p + 1), dtype=np.complex128)
         # A's diagonal is every (p + 2)-th entry of a row's [A | B]: a view,
         # cheaper than fancy indexing on small feeders.

@@ -20,8 +20,10 @@ is ``eliminate``, leaves first, and ``substitute``, down from the slack,
 one Python walk over ``downward``. Single-phase ``eliminate`` is a scalar
 loop over it in reverse, so every pass up the tree adds siblings in the
 same order; three-phase ``eliminate`` takes a few numpy steps per level of
-heavy chains (``TreeInfo.chains``), O(log depth) of them per level. So no
-other module reads the walk order itself. The bus admittance Y = A^T C A is
+heavy chains (``TreeInfo.chains``), O(log depth) of them per level. Either
+rejects a pivot I + A_k z_k below ``PIVOT_TOLERANCE`` (1e-9) in magnitude,
+at p = 3 in determinant, det X_k / det X_heavy along a chain. So no other
+module reads the walk order itself. The bus admittance Y = A^T C A is
 scattered from the per-branch admittance blocks, without forming A or any
 dense product.
 """
@@ -49,6 +51,9 @@ from .loads import (
 #: Impedances with magnitude below this are rejected; the model has no
 #: zero-impedance switch representation.
 MIN_IMPEDANCE = 1e-9
+
+#: Elimination pivots (p = 3: their determinants) below this are rejected.
+PIVOT_TOLERANCE = 1e-9
 
 _MATRIX_SYMMETRY_TOL = 1e-12
 
@@ -590,25 +595,26 @@ def eliminate(feeder: Feeder, stack: np.ndarray) -> np.ndarray:
     chain, their suffix products down to the chain's tail in O(log length)
     batched rounds (Hillis-Steele), one batched solve for every node's
     [A | B] and one ``np.add.at`` raking the chain heads into their parents.
-    A zero or singular pivot raises SingularError naming its node (at
-    p = 3, the x block of the transfer product from the node to its
-    chain's tail), the chain level's last in walk order if several are, as
-    the scalar loop meets it first."""
+    A pivot I + A_k z_k (at p = 3, its determinant) below
+    ``PIVOT_TOLERANCE`` in magnitude raises SingularError naming its node,
+    the chain level's last in walk order if several are, as the scalar loop
+    meets it first. The x blocks of the transfer products obey
+    X_k = (I + z_k A_k) X_heavy, so the determinant is det X_k / det X_heavy
+    (det X_k at a chain's tail): 0/0, not flagged, above a singular pivot."""
     tree, z = feeder.tree, feeder.checked_impedances
     m, p, _ = stack.shape
     if p == 1:
         a, b = ([0j, *column] for column in stack[:, 0].T.tolist())
         z = [0j, *z.reshape(m).tolist()]
         nodes, parents = tree.downward
+        tol = PIVOT_TOLERANCE
         for node, up in zip(reversed(nodes), reversed(parents)):
             pivot = 1.0 + a[node] * z[node]
-            try:
-                a[node] /= pivot
-                b[node] /= pivot
-            except ZeroDivisionError:
-                raise SingularError(
-                    f"elimination pivot of node {feeder.nodes[node]} is zero"
-                ) from None
+            # The real part first: abs() overflows past the float range.
+            if -tol < pivot.real < tol and abs(pivot) < tol:
+                raise _singular_pivot(feeder, node, abs(pivot))
+            a[node] /= pivot
+            b[node] /= pivot
             a[up] += a[node]
             b[up] += b[node]
         stack[:, 0, 0], stack[:, 0, 1] = a[1:], b[1:]
@@ -630,6 +636,17 @@ def eliminate(feeder: Feeder, stack: np.ndarray) -> np.ndarray:
         # d = 1, 2, 4, ..., k + d the node d chain nodes below k.
         for active, below in rounds:
             np.matmul(t[active], t[below], out=t[active])
+        # |det X_k / det X_heavy|; the first round's nodes are the non-tails.
+        with np.errstate(all="ignore"):
+            det = np.abs(np.linalg.det(transfer[:, :3, :3]))
+            if rounds:
+                below = rounds[0][1]
+                det[: len(below)] /= det[below - level.start]
+            flagged = np.flatnonzero(det < PIVOT_TOLERANCE)
+        if flagged.size:
+            found = dict(zip(rows[level][flagged].tolist(), det[flagged]))
+            row = max(found, key=lambda row: tree.order.index(row + 1))
+            raise _singular_pivot(feeder, row + 1, found[row])
         # Applied to (x_tail, 1, 0): x_parent = G (x_tail, 1) and
         # I_k = H (x_tail, 1), so [A | B] = H G^-1.
         pivots = transfer[:, :4, :4]
@@ -638,19 +655,6 @@ def eliminate(feeder: Feeder, stack: np.ndarray) -> np.ndarray:
                 pivots.swapaxes(1, 2), transfer[:, 4:, :4].swapaxes(1, 2)
             ).swapaxes(1, 2)
         except np.linalg.LinAlgError:
-            walk = {node: k for k, node in enumerate(tree.order)}
-            level_rows = rows[level].tolist()
-            for k in sorted(
-                range(len(level_rows)),
-                key=lambda k: -walk[level_rows[k] + 1],
-            ):
-                try:
-                    np.linalg.solve(pivots[k], pivots[k])
-                except np.linalg.LinAlgError:
-                    raise SingularError(
-                        "elimination pivot of node "
-                        f"{feeder.nodes[level_rows[k] + 1]} is singular"
-                    ) from None
             raise SingularError("elimination pivot is singular") from None
         work[level] = block
         if rake is not None:
@@ -658,6 +662,13 @@ def eliminate(feeder: Feeder, stack: np.ndarray) -> np.ndarray:
             np.add.at(work, parents, work[heads])
     stack[rows] = work
     return stack
+
+
+def _singular_pivot(feeder: Feeder, node: int, magnitude) -> SingularError:
+    return SingularError(
+        f"elimination pivot of node {feeder.nodes[node]} has magnitude "
+        f"{magnitude:.3e}, below {PIVOT_TOLERANCE:g}"
+    )
 
 
 def substitute(feeder: Feeder, drops: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -32,6 +33,8 @@ from radialflow import (
     v_min,
 )
 from radialflow import linsolve
+from radialflow.cli import main
+from radialflow.io import serialize_feeder
 from radialflow.linsolve import check_v0
 from radialflow.loads import PHASE_ROTATIONS, load_vectors
 from helpers import (
@@ -95,6 +98,28 @@ _Z3 = tuple(
     tuple(0.01 + 0.02j if i == j else 0.004j for j in range(3))
     for i in range(3)
 )
+
+
+def _pivot_probe(phase_count, s_z):
+    """Chain 0-1-2, z = 0.1 per phase, a constant-impedance load of 1 at
+    node 2 and of ``s_z`` on phase a of node 1. Node 2's pivot is 1.1 and
+    its eliminated A is 1 / 1.1, so node 1's phase-a pivot is
+    1 + 0.1 (s_z + 1 / 1.1) for a real ``s_z``, while its dense diagonal
+    entry is 1 + 0.1 s_z."""
+    z = 0.1 + 0j
+    if phase_count == 3:
+        z = tuple(
+            tuple(z if i == j else 0j for j in range(3)) for i in range(3)
+        )
+    return Feeder(
+        name="pivot-probe", phase_count=phase_count,
+        nodes=("0", "1", "2"), slack_voltage=1.0 + 0j,
+        branches=(Branch("b1", "0", "1", z), Branch("b2", "1", "2", z)),
+        loads=(
+            ZipLoad(node="1", s_z=s_z, phase="a"),
+            ZipLoad(node="2", s_z=1.0 + 0j),
+        ),
+    )
 
 
 def _dense_solve(feeder):
@@ -202,13 +227,13 @@ class TestAssemble:
         with pytest.raises(SingularError):
             assemble(feeder)
 
-    def test_near_singular_diagonal_is_named(self):
-        # The diagonal entry is 1e-10, below the tolerance; the elimination
-        # pivot is the same nonzero number, so only the check rejects it.
+    def test_near_singular_pivot_is_named(self):
+        # The elimination pivot, like the dense diagonal entry, is the
+        # nonzero 1e-10, below the tolerance.
         feeder = two_bus_feeder(z=0.1 + 0j, s_z=-(10.0 - 1e-9) + 0j)
         with pytest.raises(
-            SingularError, match=r"system diagonal entry 0 has magnitude "
-            r"1\.0\d\de-10, below 1e-09"
+            SingularError, match=r"^elimination pivot of node 2 has magnitude "
+            r"1\.0\d\de-10, below 1e-09$"
         ):
             assemble(feeder)
 
@@ -219,7 +244,8 @@ class TestAssemble:
         assert np.min(np.abs(np.diagonal(sys_a))) == 1.0
         with pytest.raises(
             SingularError,
-            match=r"^elimination pivot of node 3 is (zero|singular)$",
+            match=r"^elimination pivot of node 3 has magnitude "
+            r"0\.000e\+00, below 1e-09$",
         ):
             solve_linear(assemble(feeder))
 
@@ -242,9 +268,65 @@ class TestAssemble:
         )
         with pytest.raises(
             SingularError,
-            match=r"^elimination pivot of node 4 is (zero|singular)$",
+            match=r"^elimination pivot of node 4 has magnitude "
+            r"0\.000e\+00, below 1e-09$",
         ):
             assemble(feeder)
+
+    @pytest.mark.parametrize(
+        "phase_count, delta, magnitude",
+        [(1, 1e-10, r"1\.000e-11"), (3, 1e-11, r"1\.19\de-12")],
+        ids=["1", "3"],
+    )
+    def test_near_singular_pivot_under_a_sound_diagonal_is_named(
+        self, phase_count, delta, magnitude
+    ):
+        # Node 1's pivot is 0.1 delta, at p = 3 times the pivots
+        # 1 + 0.1 / 1.1 of phases b and c; its dense diagonal entry -0.09.
+        feeder = _pivot_probe(phase_count, -(10 + 1 / 1.1) + delta)
+        sys_a, _ = dense_linear_system(feeder)
+        assert np.min(np.abs(np.diagonal(sys_a))) > 0.09
+        with pytest.raises(
+            SingularError, match=r"^elimination pivot of node 1 has "
+            rf"magnitude {magnitude}, below 1e-09$",
+        ):
+            assemble(feeder)
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_near_singular_pivot_is_a_cli_solver_error(
+        self, tmp_path, capsys, phase_count
+    ):
+        path = tmp_path / "probe.json"
+        feeder = _pivot_probe(phase_count, -(10 + 1 / 1.1) + 1e-10)
+        path.write_text(serialize_feeder(feeder))
+        assert main(["solve", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        # The document holds s_z to 12 digits, which moves the pivot.
+        assert re.fullmatch(
+            r"solver error: elimination pivot of node 1 has magnitude "
+            r"\S+e-1[12], below 1e-09\n", err
+        )
+
+    @pytest.mark.parametrize("phase_count", [1, 3])
+    def test_near_zero_diagonal_over_sound_pivots_solves(self, phase_count):
+        # Node 1's dense diagonal entry is 1e-13 and its pivot 0.09. The
+        # loads are constant-impedance, so both linear modes are exact.
+        feeder = _pivot_probe(phase_count, -10 + 1e-12)
+        sys_a, _ = dense_linear_system(feeder)
+        assert np.min(np.abs(np.diagonal(sys_a))) < 1e-12
+        simple = solve(feeder, "linear-simple").voltages
+        full = solve(feeder, "linear-full").voltages
+        assert np.max(np.abs(simple - full)) <= 1e-12 * np.max(np.abs(full))
+        phase_a = np.abs(simple.reshape(3, phase_count)[:, 0])
+        assert np.allclose(phase_a, [1.0, 11.0, 10.0], rtol=1e-9, atol=0)
+
+    def test_pivot_past_the_float_range_is_no_overflow(self):
+        # 1 + c z has finite parts but a magnitude past the float range,
+        # where abs() raises OverflowError.
+        feeder = two_bus_feeder(z=1.0 + 0j, s_z=complex(1.3e308, 1.3e308))
+        with pytest.raises(SingularError, match="non-finite voltages"):
+            solve_linear(assemble(feeder))
 
     @pytest.mark.parametrize("phase_count", [1, 3])
     def test_sub_minimum_impedance_rejected(self, phase_count):

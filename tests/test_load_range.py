@@ -5,13 +5,20 @@
 10^2.5 times, far enough that BFS stops converging on some feeders.
 """
 
+import io
+import json
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import radialflow
 from radialflow import BfsOptions, RadialFlowError, power_balance, residual
+from radialflow.cli import main
+from radialflow.io import serialize_feeder
 from helpers import random_radial_feeder, scaled, shuffled
 
 BFS = BfsOptions(tolerance=1e-10)
@@ -86,3 +93,56 @@ def test_solvers_past_light_load(
         back = [slot[node] for node in feeder.nodes]
         v = other.voltages.reshape(n, phase_count)[back].ravel()
         assert _relative_gap(v, simple.voltages) <= 1e-12
+
+
+CLI_COMMANDS = [
+    ["solve", "--method", "linear-simple"],
+    ["solve", "--method", "linear-full"],
+    ["solve", "--method", "bfs"],
+    ["compare", "--method", "linear-simple"],
+    ["compare", "--method", "linear-full"],
+    ["metrics"],
+]
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    phase_count=st.sampled_from([1, 3]),
+    shape=st.sampled_from(["random", "chain", "star"]),
+    profile=st.sampled_from(["none", "p_only", "z_only", "i_only", "zip"]),
+    delta_fraction=st.floats(0.0, 1.0),
+    decades=st.floats(0.0, 3.0),
+)
+def test_cli_exit_contract_past_light_load(
+    seed, n, phase_count, shape, profile, delta_fraction, decades
+):
+    # Every command answers 0 with a JSON document, or 3 with one line,
+    # however heavy the load. The file is made here, as hypothesis runs the
+    # body many times per call of a function-scoped fixture such as
+    # tmp_path.
+    edges = {
+        "random": None,
+        "chain": [(k - 1, k) for k in range(1, n)],
+        "star": [(0, k) for k in range(1, n)],
+    }[shape]
+    feeder = random_radial_feeder(
+        np.random.default_rng(seed), n, phase_count, profile=profile,
+        delta_fraction=delta_fraction, edges=edges,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feeder.json"
+        path.write_text(serialize_feeder(scaled(feeder, 10.0**decades)))
+        for command in CLI_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command[0], str(path), *command[1:]])
+            assert code in (0, 3)
+            if code == 3:
+                assert out.getvalue() == ""
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1
+                assert lines[0].startswith("solver error: ")
+            else:
+                json.loads(out.getvalue())
