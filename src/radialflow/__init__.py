@@ -23,7 +23,6 @@ from .errors import (
 from .io import parse_feeder, serialize_feeder, write_solution
 from .linsolve import (
     LinearModel,
-    Solution,
     assemble,
     solve,
     solve_linear,
@@ -46,6 +45,7 @@ from .network import (
     Feeder,
     IncidenceModel,
     ReducedImpedance,
+    Solution,
     ValidationReport,
     build_incidence,
     reduced_impedance,

@@ -19,9 +19,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ConvergenceError
-from .linsolve import Solution
 from .loads import nodal_injections
-from .network import Feeder, build_incidence, drop_through, ybus
+from .network import Feeder, Solution, build_incidence, drop_through, ybus
 
 
 @dataclass(frozen=True)
@@ -56,42 +55,33 @@ def solve_bfs(feeder: Feeder, opts: BfsOptions | None = None) -> Solution:
     slack = feeder.slack_phasors()
     voltages = np.tile(slack, n)
 
-    for iterations in range(1, opts.max_iterations + 1):
-        injections = nodal_injections(feeder, voltages).reshape(n, p)
-        # Each non-slack node draws minus its injection. Summing the
-        # injections as they are, and walking down the drops unnegated,
-        # would turn some -0.0 voltage parts into +0.0.
-        below = drop_through(feeder, slack, -injections[1:])
-        updated = np.concatenate([slack, below.ravel()])
-        shift = float(abs(updated - voltages).max())
-        voltages = updated
-        # A voltage that is not finite makes the shift inf or NaN: the last
-        # iterate passed this check, or is the flat start, which shares the
-        # update's slack entries. So only then are the voltages checked.
-        if not math.isfinite(shift) and not np.isfinite(voltages).all():
-            raise ConvergenceError(
-                f"voltages diverged after {iterations} iterations",
-                last_solution=_solution(feeder, voltages, iterations, False),
-            )
-        if shift < opts.tolerance:
-            return _solution(feeder, voltages, iterations, True)
+    # An overflowing sweep gives non-finite voltages, no warnings.
+    with np.errstate(all="ignore"):
+        for iterations in range(1, opts.max_iterations + 1):
+            injections = nodal_injections(feeder, voltages).reshape(n, p)
+            # Each non-slack node draws minus its injection. Summing the
+            # injections as they are, and walking down the drops unnegated,
+            # would turn some -0.0 voltage parts into +0.0.
+            below = drop_through(feeder, slack, -injections[1:])
+            updated = np.concatenate([slack, below.ravel()])
+            shift = float(abs(updated - voltages).max())
+            voltages = updated
+            # A voltage that is not finite makes the shift inf or NaN: the
+            # last iterate passed this check, or is the flat start, sharing
+            # the update's slack entries. Only then are voltages checked.
+            if not math.isfinite(shift) and not np.isfinite(voltages).all():
+                raise ConvergenceError(
+                    f"voltages diverged after {iterations} iterations",
+                    last_solution=Solution.of(
+                        feeder, voltages, "bfs", iterations, False
+                    ),
+                )
+            if shift < opts.tolerance:
+                return Solution.of(feeder, voltages, "bfs", iterations)
     raise ConvergenceError(
         f"no convergence within {opts.max_iterations} iterations "
         f"(last update {shift:.3e}, tolerance {opts.tolerance:g})",
-        last_solution=_solution(feeder, voltages, iterations, False),
-    )
-
-
-def _solution(
-    feeder: Feeder, voltages: np.ndarray, iterations: int, converged: bool
-) -> Solution:
-    return Solution(
-        voltages=voltages,
-        method="bfs",
-        iterations=iterations,
-        converged=converged,
-        nodes=feeder.nodes,
-        phase_count=feeder.phase_count,
+        last_solution=Solution.of(feeder, voltages, "bfs", iterations, False),
     )
 
 
@@ -102,13 +92,8 @@ def residual(feeder: Feeder, sol: Solution) -> float:
     fixed point drives this toward zero, while linearized solutions retain
     the linearization error of their constant-power terms.
     """
+    sol.at(feeder)  # raises if the voltage count is not the feeder's
     p = feeder.phase_count
-    expected = len(feeder.nodes) * p
-    if sol.voltages.shape != (expected,):
-        raise ValueError(
-            f"solution has {sol.voltages.shape[0]} entries, feeder needs "
-            f"{expected}"
-        )
     inc = build_incidence(feeder)
     y = ybus(inc, feeder)
     mismatch = y @ sol.voltages - nodal_injections(feeder, sol.voltages)

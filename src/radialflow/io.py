@@ -30,10 +30,9 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import ParseError, SingularError
-from .linsolve import Solution
 from .loads import PHASES, ZipLoad, drop_zero_loads
 from .metrics import MetricsReport
-from .network import Branch, Feeder, in_walk_order
+from .network import Branch, Feeder, Solution, in_walk_order
 
 SCHEMA_VERSION = "1"
 
@@ -324,11 +323,13 @@ def fmt_number(value: float) -> float:
 
 
 def _complex_doc(value: complex) -> dict:
-    return {"re": fmt_number(value.real), "im": fmt_number(value.imag)}
+    return {"re": float(value.real), "im": float(value.imag)}
 
 
 def serialize_feeder(feeder: Feeder) -> str:
-    """Feeder back to its JSON document form (normalized node order)."""
+    """Feeder back to its JSON document form (normalized node order). Each
+    float is written as the shortest text that parses back to it, so the
+    document parses back to an equal feeder."""
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "name": feeder.name,
@@ -366,7 +367,10 @@ def serialize_feeder(feeder: Feeder) -> str:
             }
             for load in feeder.loads
         ],
-        "options": {"v_base": fmt_number(feeder.v_base), "s_base": fmt_number(feeder.s_base)},
+        "options": {
+            "v_base": float(feeder.v_base),
+            "s_base": float(feeder.s_base),
+        },
     }
     return render_json(doc)
 

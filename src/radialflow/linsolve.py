@@ -30,22 +30,20 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .bfs import BfsOptions, solve_bfs
 from .errors import SingularError
 from .loads import load_vectors, rotate_into_phases
 from .network import (
     Feeder,
+    Solution,
     drop_through,
     eliminate,
     reduced_impedance,
     substitute,
 )
-
-if TYPE_CHECKING:
-    from .bfs import BfsOptions
 
 
 def check_v0(v0: complex) -> complex:
@@ -56,19 +54,6 @@ def check_v0(v0: complex) -> complex:
             "linearization phasors must be finite with positive magnitude"
         )
     return v0
-
-
-@dataclass(frozen=True)
-class Solution:
-    """Voltages at every node (slack first, node-major phases) plus solver
-    provenance."""
-
-    voltages: np.ndarray
-    method: str
-    iterations: int
-    converged: bool
-    nodes: tuple[str, ...]
-    phase_count: int
 
 
 @dataclass(frozen=True)
@@ -136,14 +121,7 @@ def _solution(feeder: Feeder, x: np.ndarray, method: str) -> Solution:
     if not np.all(np.isfinite(x)):
         raise SingularError(f"{method} produced non-finite voltages")
     voltages = np.concatenate([feeder.slack_phasors(), x])
-    return Solution(
-        voltages=voltages,
-        method=method,
-        iterations=0,
-        converged=True,
-        nodes=feeder.nodes,
-        phase_count=feeder.phase_count,
-    )
+    return Solution.of(feeder, voltages, method)
 
 
 def solve_linear(model: LinearModel) -> Solution:
@@ -254,7 +232,5 @@ def solve(
     if method == "linear-full":
         return solve_linear_full(feeder, v0)
     if method == "bfs":
-        from .bfs import solve_bfs
-
         return solve_bfs(feeder, bfs)
     raise ValueError(f"unknown method {method!r}")

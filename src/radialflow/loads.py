@@ -93,15 +93,13 @@ class ZipLoad:
             raise ValueError(f"unknown phase {self.phase!r}")
         if self.connection not in ("wye", "delta"):
             raise ValueError(f"unknown connection {self.connection!r}")
+        # A component that is not a number raises TypeError here.
         s_z, s_i, s_p = self.s_z, self.s_i, self.s_p
-        try:
-            finite = cmath.isfinite
-            if finite(s_z) and finite(s_i) and finite(s_p):
-                return
-        except (TypeError, ValueError, OverflowError):
-            pass  # raised again, or reported, by the checks below
+        finite = cmath.isfinite
+        if finite(s_z) and finite(s_i) and finite(s_p):
+            return
         for name, value in (("s_z", s_z), ("s_i", s_i), ("s_p", s_p)):
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            if not finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
     @property

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, UnsupportedPhaseError
-from .linsolve import Solution
 from .loads import nodal_injections
-from .network import Feeder, IncidenceModel
+from .network import Feeder, IncidenceModel, Solution
 
 
 @dataclass(frozen=True)
@@ -42,14 +41,7 @@ def branch_flows(
     """Recover drops e = A V, currents I = Z^-1 e and sending-end power for
     every branch; signs follow each branch's stored orientation. Read from
     ``feeder.tree`` alone; ``inc`` is unused and may be None."""
-    p = feeder.phase_count
-    n = len(feeder.nodes)
-    if sol.voltages.shape != (n * p,):
-        raise ValueError(
-            f"solution has {sol.voltages.shape[0]} entries, feeder needs "
-            f"{n * p}"
-        )
-    v = sol.voltages.reshape(n, p)
+    v = sol.at(feeder)
     ends = feeder.tree.ends
     v_from = v[ends[:, 0]]
     drops = v_from - v[ends[:, 1]]

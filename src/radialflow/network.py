@@ -1,4 +1,4 @@
-"""Radial feeder model and incidence-matrix machinery.
+"""Radial feeder model, its ``Solution`` and incidence-matrix machinery.
 
 A feeder is a tree rooted at the slack node: n nodes, n - 1 branches. The
 oriented incidence matrix A (one row per branch, +1 at the from node, -1 at
@@ -229,6 +229,41 @@ class Feeder:
     def slack_phasors(self) -> np.ndarray:
         """Slack voltage per phase (rotated nominals in three-phase mode)."""
         return rotate_into_phases(self.slack_voltage, self.phase_count)
+
+
+@dataclass(frozen=True)
+class Solution:
+    """Voltages at every node (slack first, node-major phases) plus solver
+    provenance. Every solver builds one with ``of``."""
+
+    voltages: np.ndarray
+    method: str
+    iterations: int
+    converged: bool
+    nodes: tuple[str, ...]
+    phase_count: int
+
+    @classmethod
+    def of(
+        cls, feeder: Feeder, voltages: np.ndarray, method: str,
+        iterations: int = 0, converged: bool = True,
+    ) -> Solution:
+        """``feeder``'s node voltages, as ``method`` solved them."""
+        return cls(
+            voltages, method, iterations, converged, feeder.nodes,
+            feeder.phase_count,
+        )
+
+    def at(self, feeder: Feeder) -> np.ndarray:
+        """The voltages as (n, p) rows, one per node of ``feeder``; raises
+        ValueError if their count is not the feeder's n p."""
+        n, p = len(feeder.nodes), feeder.phase_count
+        if self.voltages.shape != (n * p,):
+            raise ValueError(
+                f"solution has {self.voltages.shape[0]} entries, feeder "
+                f"needs {n * p}"
+            )
+        return self.voltages.reshape(n, p)
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,21 @@ class TestSolveBfs:
         assert not last.converged
         assert not np.all(np.isfinite(last.voltages))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_an_overflowing_sweep_is_divergence_without_warnings(self, sign):
+        # The second sweep's drop overflows: NaN voltages, no numpy warning,
+        # which the test settings turn into an error.
+        feeder = two_bus_feeder(z=1.0 + 0j, s_z=1.3e308 * complex(1, sign))
+        with pytest.raises(
+            ConvergenceError, match="^voltages diverged after 2 iterations$"
+        ) as excinfo:
+            solve_bfs(feeder)
+        last = excinfo.value.last_solution
+        assert (last.method, last.iterations, last.converged) == (
+            "bfs", 2, False
+        )
+        assert not np.all(np.isfinite(last.voltages))
+
     @pytest.mark.parametrize("v_s", [complex(-1, -0.0), complex(-0.0, 1)])
     def test_unloaded_nodes_keep_the_slack_bits(self, v_s):
         # Signed zeros included: an angle of -180 degrees stays -180.

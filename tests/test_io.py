@@ -314,6 +314,33 @@ def test_physical_bases_round_trip():
     assert feeder == again
 
 
+def _round_trip_feeders():
+    for name in ("two_bus", "balanced_ten_bus", "unbalanced_ten_bus"):
+        yield radialflow.example_feeder(name)
+    rng = np.random.default_rng(29)
+    for phase_count in (1, 3):
+        feeder = random_radial_feeder(
+            rng, 30, phase_count, profile="zip", delta_fraction=0.5
+        )
+        yield replace(
+            shuffled(rng, feeder),
+            v_base=float(rng.uniform(0.5, 20.0)),
+            s_base=float(rng.uniform(0.5, 20.0)),
+        )
+
+
+def test_a_feeder_survives_its_own_document():
+    # Every float is written whole, so parsing gives back the same floats.
+    for feeder in _round_trip_feeders():
+        again = parse_feeder(serialize_feeder(feeder))
+        assert {b.id: b.impedance for b in again.branches} == {
+            b.id: b.impedance for b in feeder.branches
+        }
+        assert again.loads == feeder.loads
+        assert again.slack_voltage == feeder.slack_voltage
+        assert (again.v_base, again.s_base) == (feeder.v_base, feeder.s_base)
+
+
 def test_physical_units_scale_consistently():
     # A feeder in volts/ohms/VA solves to v_base times its per-unit twin.
     from radialflow import Branch, Feeder, ZipLoad
@@ -377,7 +404,11 @@ def _source_texts() -> dict[str, str]:
         ("shuffled-3ph", random_radial_feeder(
             rng, 20, 3, profile="zip", delta_fraction=0.4)),
     ):
-        docs[label] = json.loads(serialize_feeder(shuffled(rng, feeder)))
+        # Parsed to 12 significant digits, as the pinned documents hold them.
+        docs[label] = json.loads(
+            serialize_feeder(shuffled(rng, feeder)),
+            parse_float=lambda text: float(f"{float(text):.12g}"),
+        )
     return {name: json.dumps(docs[name]) for name in SOURCES}
 
 

@@ -302,7 +302,7 @@ class TestAssemble:
         assert main(["solve", str(path)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        # The document holds s_z to 12 digits, which moves the pivot.
+        # The document holds s_z exactly, so the pivot is the library's.
         assert re.fullmatch(
             r"solver error: elimination pivot of node 1 has magnitude "
             r"\S+e-1[12], below 1e-09\n", err

@@ -378,6 +378,22 @@ def test_drop_zero_loads_warns(caplog):
     assert any("all-zero load" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("value", ["x", None])
+@pytest.mark.parametrize("name", ["s_z", "s_i", "s_p"])
+def test_a_component_that_is_not_a_number_is_a_type_error(name, value):
+    with pytest.raises(TypeError):
+        ZipLoad(node="2", **{name: value})
+
+
+@pytest.mark.parametrize("value", [
+    complex(math.nan, 0), complex(0, math.inf), math.nan, -math.inf,
+])
+@pytest.mark.parametrize("name", ["s_z", "s_i", "s_p"])
+def test_a_non_finite_component_is_named(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        ZipLoad(node="2", **{name: value})
+
+
 def test_invalid_fields_rejected():
     with pytest.raises(ValueError):
         ZipLoad(node="2", phase="d")
